@@ -82,20 +82,15 @@ void SharedKVCache::copy_row(bool key, std::int64_t t, float* dst) const {
               static_cast<std::size_t>(hidden_) * sizeof(float));
 }
 
-tensor::Tensor SharedKVCache::materialize(bool key) const {
+void SharedKVCache::read_rows(runtime::KVPlane plane,
+                              runtime::KVRowView& view) const {
+  const bool key = plane == runtime::KVPlane::kKeys;
   const std::int64_t n = length();
-  tensor::Tensor out = tensor::Tensor::zeros({n, hidden_});
-  auto dst = out.f32();
+  view.rows.resize(static_cast<std::size_t>(n));
   for (std::int64_t t = 0; t < n; ++t) {
-    std::memcpy(dst.data() + t * hidden_, row_ptr(key, t),
-                static_cast<std::size_t>(hidden_) * sizeof(float));
+    view.rows[static_cast<std::size_t>(t)] = row_ptr(key, t);
   }
-  return out;
 }
-
-tensor::Tensor SharedKVCache::keys() const { return materialize(true); }
-
-tensor::Tensor SharedKVCache::values() const { return materialize(false); }
 
 void SharedKVCache::truncate(std::int64_t new_length) {
   LMO_CHECK_GE(new_length, 0);

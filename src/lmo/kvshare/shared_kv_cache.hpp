@@ -39,12 +39,13 @@ class SharedKVCache : public runtime::KVCacheBase {
   void append(const tensor::Tensor& k_row,
               const tensor::Tensor& v_row) override;
   std::int64_t length() const override { return shared_len_ + private_len(); }
-  tensor::Tensor keys() const override;
-  tensor::Tensor values() const override;
+  std::int64_t hidden() const override { return hidden_; }
+  /// Rows are read in place from the shared blocks and the private tail.
+  void read_rows(runtime::KVPlane plane,
+                 runtime::KVRowView& view) const override;
   void truncate(std::int64_t new_length) override;
   std::unique_ptr<runtime::KVCacheBase> clone() const override;
 
-  std::int64_t hidden() const { return hidden_; }
   std::int64_t shared_length() const { return shared_len_; }
   std::int64_t private_len() const {
     return static_cast<std::int64_t>(k_priv_.size()) / hidden_;
@@ -58,7 +59,6 @@ class SharedKVCache : public runtime::KVCacheBase {
   void copy_row(bool key, std::int64_t t, float* dst) const;
 
  private:
-  tensor::Tensor materialize(bool key) const;
   const float* row_ptr(bool key, std::int64_t t) const;
   void charge_delta(std::size_t old_floats, std::size_t new_floats);
 

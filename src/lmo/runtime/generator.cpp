@@ -556,11 +556,7 @@ void Generator::begin(const std::vector<std::vector<std::int64_t>>& prompts,
       transformer_->forward(states, session->cache_ptrs,
                             prefetch_pool_.get());
       telemetry::ScopedSpan out_span(trace, "store_activation", "decode");
-      for (std::size_t s = 0; s < prompts.size(); ++s) {
-        session->next[s] = sample_token(transformer_->logits(states[s]),
-                                        config_.sampling, sampling_rng_);
-        session->tokens[s].push_back(session->next[s]);
-      }
+      sample_next(transformer_->logits(states), *session);
       break;
     } catch (const util::DataCorruption&) {
       if (!config_.integrity.enabled() ||
@@ -590,6 +586,18 @@ void Generator::begin(const std::vector<std::vector<std::int64_t>>& prompts,
     }
     start_adaptive(prompts.size(), static_cast<std::int64_t>(prompt_len),
                    gen_len);
+  }
+}
+
+void Generator::sample_next(const tensor::Tensor& logits, Session& session) {
+  // One token per sequence from the [B, vocab] logits rows, in batch
+  // order so the sampling RNG stream does not depend on batching.
+  for (std::size_t s = 0; s < session.next.size(); ++s) {
+    const auto row = static_cast<std::int64_t>(s);
+    session.next[s] = sample_token(
+        tensor::slice_rows(logits, row, row + 1).reshaped({config_.spec.vocab}),
+        config_.sampling, sampling_rng_);
+    session.tokens[s].push_back(session.next[s]);
   }
 }
 
@@ -626,11 +634,7 @@ void Generator::step() {
       transformer_->forward(step_states, session.cache_ptrs,
                             prefetch_pool_.get());
       telemetry::ScopedSpan out_span(trace, "store_activation", "decode");
-      for (std::size_t s = 0; s < session.prompts.size(); ++s) {
-        session.next[s] = sample_token(transformer_->logits(step_states[s]),
-                                       config_.sampling, sampling_rng_);
-        session.tokens[s].push_back(session.next[s]);
-      }
+      sample_next(transformer_->logits(step_states), session);
       break;
     } catch (const util::DataCorruption&) {
       if (!config_.integrity.enabled() ||

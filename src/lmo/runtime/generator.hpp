@@ -254,6 +254,9 @@ class Generator {
   /// samples, so the sampling RNG stream is untouched and the retried step
   /// reproduces the clean run's tokens.
   void repair_session_caches();
+  /// Sample each sequence's next token from its row of `logits`
+  /// ([B, vocab]) and append it to the session.
+  void sample_next(const tensor::Tensor& logits, Session& session);
   /// Publish a finished prefill's prompt KV rows into the prefix cache.
   std::shared_ptr<kvshare::PrefixLease> publish_prefix(
       const std::vector<std::int64_t>& prompt, const SequenceCache& cache);

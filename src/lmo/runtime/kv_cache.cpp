@@ -114,16 +114,33 @@ void KVCache::set_integrity(integrity::ChecksumRegistry* registry,
   region_ = std::move(region);
 }
 
-tensor::Tensor KVCache::materialize(
-    const std::vector<Row>& rows,
-    const std::vector<std::uint32_t>& crcs) const {
-  LMO_CHECK(!rows.empty());
+tensor::Tensor KVCacheBase::copy_plane(KVPlane plane) const {
+  KVRowView view;
+  read_rows(plane, view);
+  const std::int64_t h = hidden();
+  tensor::Tensor out = tensor::Tensor::zeros(
+      {static_cast<std::int64_t>(view.rows.size()), h});
+  float* dst = out.f32().data();
+  for (std::size_t i = 0; i < view.rows.size(); ++i) {
+    std::memcpy(dst + static_cast<std::int64_t>(i) * h, view.rows[i],
+                static_cast<std::size_t>(h) * sizeof(float));
+  }
+  return out;
+}
+
+void KVCache::read_rows(KVPlane plane, KVRowView& view) const {
+  const bool keys = plane == KVPlane::kKeys;
+  const std::vector<Row>& rows = keys ? k_rows_ : v_rows_;
+  const std::vector<std::uint32_t>& crcs = keys ? k_crcs_ : v_crcs_;
   auto& injector = util::FaultInjector::instance();
   const bool inject = injector.enabled();
   const bool check =
       integrity_ != nullptr && integrity_->enabled() && !crcs.empty();
-  tensor::Tensor out = tensor::Tensor::zeros({length_, hidden_});
-  auto dst = out.f32();
+  view.rows.resize(static_cast<std::size_t>(length_));
+  // Row i decodes into scratch slot i, so earlier pointers stay valid.
+  if (bits_ != 16 || inject) {
+    view.scratch.resize(static_cast<std::size_t>(length_ * hidden_));
+  }
   for (std::int64_t i = 0; i < length_; ++i) {
     const Row& stored = rows[static_cast<std::size_t>(i)];
     const Row* src = &stored;
@@ -153,18 +170,23 @@ tensor::Tensor KVCache::materialize(
                                  (region_.empty() ? "<unnamed>" : region_) +
                                  " failed verification");
     }
-    tensor::Tensor row;
-    if (src->quantized.defined()) {
-      const auto start = std::chrono::steady_clock::now();
-      row = tensor::dequantize(src->quantized);
-      dequantize_seconds_ += seconds_since(start);
+    const float* row = nullptr;
+    if (src == &stored && stored.plain.defined()) {
+      row = stored.plain.f32().data();  // in place: no copy
     } else {
-      row = src->plain;
+      float* slot = view.scratch.data() + i * hidden_;
+      if (src->quantized.defined()) {
+        const auto start = std::chrono::steady_clock::now();
+        tensor::dequantize_into(src->quantized, slot);
+        dequantize_seconds_ += seconds_since(start);
+      } else {
+        std::memcpy(slot, src->plain.f32().data(),
+                    static_cast<std::size_t>(hidden_) * sizeof(float));
+      }
+      row = slot;
     }
-    std::memcpy(dst.data() + i * hidden_, row.f32().data(),
-                static_cast<std::size_t>(hidden_) * sizeof(float));
+    view.rows[static_cast<std::size_t>(i)] = row;
   }
-  return out;
 }
 
 void KVCache::truncate(std::int64_t new_length) {
@@ -183,12 +205,6 @@ void KVCache::truncate(std::int64_t new_length) {
     stored_bytes_ -= bytes;
     --length_;
   }
-}
-
-tensor::Tensor KVCache::keys() const { return materialize(k_rows_, k_crcs_); }
-
-tensor::Tensor KVCache::values() const {
-  return materialize(v_rows_, v_crcs_);
 }
 
 double KVCache::dequantize_seconds() const { return dequantize_seconds_; }

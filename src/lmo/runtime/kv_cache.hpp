@@ -2,8 +2,9 @@
 // (layer, sequence). Appends quantize the incoming K/V rows with the real
 // group-wise quantizer (matching the paper: "the KV cache is updated
 // throughout token generation and quantized at each transformer layer");
-// reads expand the whole cache back to f32 — compute never runs on packed
-// payloads.
+// reads hand attention one f32 row pointer per token — stored f32 rows in
+// place, quantized rows decoded into caller-owned scratch. Compute never
+// runs on packed payloads.
 #pragma once
 
 #include <cstdint>
@@ -18,22 +19,48 @@
 
 namespace lmo::runtime {
 
-/// Interface shared by the cache backends (contiguous KVCache and
-/// PagedKVCache): append one token's K/V rows, materialize the full
-/// matrices for the attention scan.
+/// Which half of a KV cache a read covers.
+enum class KVPlane : std::uint8_t { kKeys, kValues };
+
+/// One plane of a KV cache as one row pointer per visible token, oldest
+/// first. The caller owns the view and reuses it across reads, so the
+/// scratch that decoded rows land in is allocated once. Pointers stay valid
+/// until the next read into the same view or the next mutation of the
+/// cache.
+struct KVRowView {
+  std::vector<const float*> rows;
+  std::vector<float> scratch;
+};
+
+/// Interface shared by the cache backends: append one token's K/V rows,
+/// read a plane back as row pointers for the attention scan.
 class KVCacheBase {
  public:
   virtual ~KVCacheBase() = default;
   virtual void append(const tensor::Tensor& k_row,
                       const tensor::Tensor& v_row) = 0;
   virtual std::int64_t length() const = 0;
-  virtual tensor::Tensor keys() const = 0;
-  virtual tensor::Tensor values() const = 0;
+  virtual std::int64_t hidden() const = 0;
+  /// Point `view.rows` at `plane`'s length() rows of hidden() floats,
+  /// oldest first. f32 rows are read in place; rows that need decoding
+  /// (quantized at rest, or flipped in flight by fault injection) are
+  /// decoded into `view.scratch`. Backends with an integrity layer verify
+  /// rows here and throw util::DataCorruption on a mismatch.
+  virtual void read_rows(KVPlane plane, KVRowView& view) const = 0;
   /// Roll the cache back to `new_length` tokens (speculative-decoding
   /// rejection, beam pruning). new_length ≤ length().
   virtual void truncate(std::int64_t new_length) = 0;
   /// Deep copy (beam forking). The copy charges its own pool bytes.
   virtual std::unique_ptr<KVCacheBase> clone() const = 0;
+
+  /// Copies of the K (or V) plane as a [length, hidden] matrix, built on
+  /// read_rows (same verification) — for tests and checkpoints; the
+  /// attention scan reads rows in place instead.
+  tensor::Tensor keys() const { return copy_plane(KVPlane::kKeys); }
+  tensor::Tensor values() const { return copy_plane(KVPlane::kValues); }
+
+ private:
+  tensor::Tensor copy_plane(KVPlane plane) const;
 };
 
 class KVCache : public KVCacheBase {
@@ -72,14 +99,11 @@ class KVCache : public KVCacheBase {
               const tensor::Tensor& v_row) override;
 
   std::int64_t length() const override { return length_; }
-  std::int64_t hidden() const { return hidden_; }
+  std::int64_t hidden() const override { return hidden_; }
   int bits() const { return bits_; }
   std::int64_t group_size() const { return group_size_; }
 
-  /// Materialize the full K (or V) matrix [length, hidden] in f32,
-  /// dequantizing stored rows as needed.
-  tensor::Tensor keys() const override;
-  tensor::Tensor values() const override;
+  void read_rows(KVPlane plane, KVRowView& view) const override;
   void truncate(std::int64_t new_length) override;
   std::unique_ptr<KVCacheBase> clone() const override;
 
@@ -108,7 +132,7 @@ class KVCache : public KVCacheBase {
   void restore_rows(std::vector<Row> k, std::vector<Row> v);
 
   /// Attach the integrity layer (owned by the caller; may be null). Each
-  /// appended row's stored payload is fingerprinted; materialize() re-checks
+  /// appended row's stored payload is fingerprinted; read_rows() re-checks
   /// rows per the registry's policy (ordinal = row index) and throws
   /// DataCorruption on mismatch — the Generator repairs by recomputing the
   /// cache from the token history. `region` labels this cache in errors
@@ -117,8 +141,6 @@ class KVCache : public KVCacheBase {
                      std::string region);
 
  private:
-  tensor::Tensor materialize(const std::vector<Row>& rows,
-                             const std::vector<std::uint32_t>& crcs) const;
   Row make_row(const tensor::Tensor& row);
   std::size_t row_bytes(const Row& row) const;
 

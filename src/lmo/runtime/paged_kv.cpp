@@ -107,20 +107,16 @@ void PagedKVCache::append(const tensor::Tensor& k_row,
   ++length_;
 }
 
-tensor::Tensor PagedKVCache::gather(bool keys) const {
-  LMO_CHECK_GT(length_, 0);
-  tensor::Tensor out = tensor::Tensor::zeros({length_, pool_->hidden()});
-  auto dst = out.f32();
+void PagedKVCache::read_rows(KVPlane plane, KVRowView& view) const {
+  view.rows.resize(static_cast<std::size_t>(length_));
   for (std::int64_t i = 0; i < length_; ++i) {
     const std::int64_t page =
         pages_[static_cast<std::size_t>(i / pool_->page_tokens())];
     const std::int64_t slot = i % pool_->page_tokens();
-    const float* src =
-        keys ? pool_->k_slot(page, slot) : pool_->v_slot(page, slot);
-    std::memcpy(dst.data() + i * pool_->hidden(), src,
-                static_cast<std::size_t>(pool_->hidden()) * sizeof(float));
+    view.rows[static_cast<std::size_t>(i)] = plane == KVPlane::kKeys
+                                                 ? pool_->k_slot(page, slot)
+                                                 : pool_->v_slot(page, slot);
   }
-  return out;
 }
 
 void PagedKVCache::truncate(std::int64_t new_length) {
@@ -134,10 +130,6 @@ void PagedKVCache::truncate(std::int64_t new_length) {
     pages_.pop_back();
   }
 }
-
-tensor::Tensor PagedKVCache::keys() const { return gather(true); }
-
-tensor::Tensor PagedKVCache::values() const { return gather(false); }
 
 std::unique_ptr<KVCacheBase> PagedKVCache::clone() const {
   auto copy = std::make_unique<PagedKVCache>(*pool_);

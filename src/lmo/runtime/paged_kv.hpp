@@ -70,9 +70,9 @@ class PagedKVCache : public KVCacheBase {
   void append(const tensor::Tensor& k_row,
               const tensor::Tensor& v_row) override;
   std::int64_t length() const override { return length_; }
-
-  tensor::Tensor keys() const override;  ///< [length, hidden] gathered copy
-  tensor::Tensor values() const override;
+  std::int64_t hidden() const override { return pool_->hidden(); }
+  /// Rows are read in place from their pages.
+  void read_rows(KVPlane plane, KVRowView& view) const override;
   void truncate(std::int64_t new_length) override;
   std::unique_ptr<KVCacheBase> clone() const override;
 
@@ -82,8 +82,6 @@ class PagedKVCache : public KVCacheBase {
   std::int64_t wasted_slots() const;
 
  private:
-  tensor::Tensor gather(bool keys) const;
-
   PagePool* pool_;
   std::vector<std::int64_t> pages_;
   std::int64_t length_ = 0;

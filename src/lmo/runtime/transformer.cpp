@@ -1,7 +1,9 @@
 #include "lmo/runtime/transformer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <future>
 
 #include "lmo/telemetry/trace.hpp"
 #include "lmo/tensor/ops.hpp"
@@ -121,45 +123,22 @@ Transformer::LayerWeights Transformer::fetch_layer(std::int64_t layer) {
   return w;
 }
 
-Tensor Transformer::attention(const LayerWeights& w, const Tensor& x,
-                              KVCacheBase& cache) {
-  const std::int64_t t_new = x.shape()[0];
+void Transformer::attention(const float* q, std::int64_t t_new,
+                            const KVCacheBase& cache, KVViews& views,
+                            float* out) {
   const std::int64_t h = spec_.hidden;
   const std::int64_t heads = spec_.num_heads;
   const std::int64_t hd = spec_.head_dim();
 
-  Tensor q, k, v;
-  {
-    const auto span = task_span("compute");
-    q = tensor::matmul_nt_blocked(x, w.wq);
-    k = tensor::matmul_nt_blocked(x, w.wk);
-    v = tensor::matmul_nt_blocked(x, w.wv);
-  }
-
-  // Append the new positions to the cache (quantized at rest if enabled).
-  {
-    const auto span = task_span("store_cache");
-    for (std::int64_t i = 0; i < t_new; ++i) {
-      cache.append(tensor::slice_rows(k, i, i + 1).reshaped({h}),
-                   tensor::slice_rows(v, i, i + 1).reshaped({h}));
-    }
-  }
-
-  Tensor keys, values;
-  std::int64_t total = 0;
   {
     const auto span = task_span("load_cache");
-    keys = cache.keys();  // [prior + t_new, h]
-    values = cache.values();
-    total = cache.length();
+    cache.read_rows(KVPlane::kKeys, views.k);  // prior + t_new rows
+    cache.read_rows(KVPlane::kValues, views.v);
   }
+  const std::int64_t total = static_cast<std::int64_t>(views.k.rows.size());
+  const float* const* krows = views.k.rows.data();
+  const float* const* vrows = views.v.rows.data();
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-
-  Tensor out = Tensor::zeros({t_new, h});
-  auto pout = out.f32();
-  auto pq = q.f32();
-  auto pk = keys.f32();
-  auto pv = values.f32();
 
   // Per head: scores = q_h · K_hᵀ · scale with causal masking, softmax,
   // context = scores · V_h. Heads are independent, so they split cleanly
@@ -169,16 +148,16 @@ Tensor Transformer::attention(const LayerWeights& w, const Tensor& x,
     for (std::int64_t head = begin; head < end; ++head) {
       const std::int64_t off = head * hd;
       for (std::int64_t i = 0; i < t_new; ++i) {
-        // Causal horizon in the *materialized* matrix: everything up to
-        // and including token i's own row (the last t_new rows are the new
+        // Causal horizon in the cache's visible rows: everything up to and
+        // including token i's own row (the last t_new rows are the new
         // tokens). Equivalent to prior+i+1 for exact caches, and correct
         // under eviction (WindowKVCache), where total < prior + t_new.
         const std::int64_t visible = total - (t_new - 1 - i);
         if (visible <= 0) continue;  // fully evicted context (tiny window)
-        const float* qrow = pq.data() + i * h + off;
+        const float* qrow = q + i * h + off;
         float mx = -1e30f;
         for (std::int64_t j = 0; j < visible; ++j) {
-          const float* krow = pk.data() + j * h + off;
+          const float* krow = krows[j] + off;
           float dot = 0.0f;
           for (std::int64_t d = 0; d < hd; ++d) dot += qrow[d] * krow[d];
           scores[static_cast<std::size_t>(j)] = dot * scale;
@@ -191,17 +170,17 @@ Tensor Transformer::attention(const LayerWeights& w, const Tensor& x,
           sum += s;
         }
         const float inv = 1.0f / sum;
-        float* orow = pout.data() + i * h + off;
+        float* orow = out + i * h + off;
         for (std::int64_t j = 0; j < visible; ++j) {
           const float weight = scores[static_cast<std::size_t>(j)] * inv;
-          const float* vrow = pv.data() + j * h + off;
+          const float* vrow = vrows[j] + off;
           for (std::int64_t d = 0; d < hd; ++d) orow[d] += weight * vrow[d];
         }
       }
     }
   };
 
-  const auto attn_span = task_span("compute");
+  const auto span = task_span("compute");
   if (compute_pool_ == nullptr || compute_pool_->size() <= 1 || heads == 1) {
     head_range(0, heads);
   } else {
@@ -216,18 +195,54 @@ Tensor Transformer::attention(const LayerWeights& w, const Tensor& x,
     }
     for (auto& f : pending) f.get();
   }
-  return tensor::matmul_nt_blocked(out, w.wo);
 }
 
-Tensor Transformer::layer_forward(const LayerWeights& w, const Tensor& x,
-                                  KVCacheBase& cache) {
-  // Pre-LN attention block.
-  const Tensor normed1 = tensor::layer_norm(x, w.ln1_gamma, w.ln1_beta);
-  const Tensor attn = attention(w, normed1, cache);
-  const Tensor mid = tensor::add(x, attn);
+void Transformer::layer_forward(const LayerWeights& w, std::int64_t layer,
+                                RowGroup& group,
+                                std::vector<SequenceCache*>& caches,
+                                KVViews& views) {
+  const std::int64_t h = spec_.hidden;
+  const std::int64_t rows = group.x.shape()[0];
 
-  // Pre-LN MLP block with the model family's non-linearity.
-  const auto mlp_span = task_span("compute");
+  // Pre-LN attention block. q/k/v are scoped to it so they are freed
+  // before the MLP allocates its [rows, mlp_hidden] buffers.
+  Tensor attn = Tensor::zeros({rows, h});
+  {
+    // One GEMM per projection for the whole group.
+    Tensor q, k, v;
+    {
+      const auto span = task_span("compute");
+      const Tensor normed1 =
+          tensor::layer_norm(group.x, w.ln1_gamma, w.ln1_beta);
+      q = tensor::matmul_nt_blocked(normed1, w.wq);
+      k = tensor::matmul_nt_blocked(normed1, w.wk);
+      v = tensor::matmul_nt_blocked(normed1, w.wv);
+    }
+    // Cache append and attention per sequence, in batch order.
+    std::int64_t row0 = 0;
+    for (std::size_t m = 0; m < group.rows.size(); ++m) {
+      const std::int64_t t_new = group.rows[m];
+      KVCacheBase& cache =
+          *(*caches[group.first + m])[static_cast<std::size_t>(layer)];
+      {
+        // Appended quantized at rest if enabled.
+        const auto span = task_span("store_cache");
+        for (std::int64_t i = row0; i < row0 + t_new; ++i) {
+          cache.append(tensor::slice_rows(k, i, i + 1).reshaped({h}),
+                       tensor::slice_rows(v, i, i + 1).reshaped({h}));
+        }
+      }
+      attention(q.f32().data() + row0 * h, t_new, cache, views,
+                attn.f32().data() + row0 * h);
+      row0 += t_new;
+    }
+  }
+
+  // Output projection, residual and the pre-LN MLP block with the model
+  // family's non-linearity.
+  const auto span = task_span("compute");
+  const Tensor mid =
+      tensor::add(group.x, tensor::matmul_nt_blocked(attn, w.wo));
   const Tensor normed2 = tensor::layer_norm(mid, w.ln2_gamma, w.ln2_beta);
   const Tensor pre = tensor::matmul_nt_blocked(normed2, w.w1);
   Tensor up;
@@ -242,8 +257,7 @@ Tensor Transformer::layer_forward(const LayerWeights& w, const Tensor& x,
       up = tensor::silu(pre);
       break;
   }
-  const Tensor down = tensor::matmul_nt_blocked(up, w.w2);
-  return tensor::add(mid, down);
+  group.x = tensor::add(mid, tensor::matmul_nt_blocked(up, w.w2));
 }
 
 void Transformer::forward(std::vector<Tensor>& states,
@@ -252,6 +266,40 @@ void Transformer::forward(std::vector<Tensor>& states,
   LMO_CHECK_EQ(states.size(), caches.size());
   LMO_CHECK(!states.empty());
 
+  // Stack consecutive sequences into row groups. The cap bounds the
+  // group's activation footprint (rows × mlp_hidden floats per
+  // intermediate) while still fitting the longest sequence alone.
+  std::int64_t cap = 64;
+  for (const Tensor& state : states) cap = std::max(cap, state.shape()[0]);
+  std::vector<RowGroup> groups;
+  std::int64_t group_rows = 0;
+  for (std::size_t s = 0; s < states.size(); ++s) {
+    LMO_CHECK_EQ(states[s].shape()[1], spec_.hidden);
+    const std::int64_t t = states[s].shape()[0];
+    if (groups.empty() || group_rows + t > cap) {
+      groups.push_back(RowGroup{s, {}, {}});
+      group_rows = 0;
+    }
+    groups.back().rows.push_back(t);
+    group_rows += t;
+  }
+  for (RowGroup& group : groups) {
+    if (group.rows.size() == 1) {
+      group.x = std::move(states[group.first]);
+      continue;
+    }
+    std::int64_t total = 0;
+    for (std::int64_t t : group.rows) total += t;
+    group.x = Tensor::zeros({total, spec_.hidden});
+    std::byte* dst = group.x.raw().data();
+    for (std::size_t m = 0; m < group.rows.size(); ++m) {
+      const auto src = states[group.first + m].raw();
+      std::memcpy(dst, src.data(), src.size());
+      dst += src.size();
+    }
+  }
+
+  KVViews views;
   for (std::int64_t layer = 0; layer < spec_.num_layers; ++layer) {
     if (prefetch != nullptr && layer + 1 < spec_.num_layers) {
       // Warm the next layer's host payloads concurrently with compute.
@@ -260,18 +308,43 @@ void Transformer::forward(std::vector<Tensor>& states,
       }
     }
     const LayerWeights w = fetch_layer(layer);
-    for (std::size_t s = 0; s < states.size(); ++s) {
-      states[s] = layer_forward(
-          w, states[s], *(*caches[s])[static_cast<std::size_t>(layer)]);
+    for (RowGroup& group : groups) {
+      layer_forward(w, layer, group, caches, views);
+    }
+  }
+
+  for (RowGroup& group : groups) {
+    if (group.rows.size() == 1) {
+      states[group.first] = std::move(group.x);
+      continue;
+    }
+    std::int64_t row0 = 0;
+    for (std::size_t m = 0; m < group.rows.size(); ++m) {
+      states[group.first + m] =
+          tensor::slice_rows(group.x, row0, row0 + group.rows[m]);
+      row0 += group.rows[m];
     }
   }
 }
 
 Tensor Transformer::logits(const Tensor& state) {
-  const std::int64_t rows = state.shape()[0];
-  const Tensor last = tensor::slice_rows(state, rows - 1, rows);
+  return logits(std::vector<Tensor>{state}).reshaped({spec_.vocab});
+}
+
+Tensor Transformer::logits(const std::vector<Tensor>& states) {
+  LMO_CHECK(!states.empty());
+  const std::int64_t h = spec_.hidden;
+  Tensor last = Tensor::zeros({static_cast<std::int64_t>(states.size()), h});
+  float* dst = last.f32().data();
+  for (std::size_t b = 0; b < states.size(); ++b) {
+    const Tensor& state = states[b];
+    LMO_CHECK_EQ(state.shape()[1], h);
+    std::memcpy(dst + static_cast<std::int64_t>(b) * h,
+                state.f32().data() + (state.shape()[0] - 1) * h,
+                static_cast<std::size_t>(h) * sizeof(float));
+  }
   const Tensor normed = tensor::layer_norm(last, lnf_gamma_, lnf_beta_);
-  return tensor::matmul_nt_blocked(normed, embedding_).reshaped({spec_.vocab});
+  return tensor::matmul_nt_blocked(normed, embedding_);
 }
 
 }  // namespace lmo::runtime

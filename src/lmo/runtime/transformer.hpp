@@ -4,7 +4,16 @@
 // real KVCache (possibly compressed at rest), and all math runs in f32 via
 // lmo::tensor ops. The walk is layer-outer so one weight fetch serves every
 // sequence in the batch — the same amortization the zig-zag block schedule
-// exploits.
+// exploits — and consecutive sequences are stacked into row groups so each
+// weight is applied with one GEMM per group rather than once per sequence
+// (FlexGen's batch amortization). Attention and the KV append stay per
+// sequence; attention reads cache rows in place (KVCacheBase::read_rows).
+//
+// Trace spans (docs/observability.md): a `compute` span covers one row
+// group's LayerNorm + QKV projections, and another its output projection +
+// MLP; between them each sequence gets `store_cache` (append), `load_cache`
+// (verify and decode rows — f32 rows are not copied) and a `compute` span
+// for its attention heads.
 //
 // Simplifications vs production checkpoints (documented in DESIGN.md):
 // tied input/output embeddings, no biases, GELU MLP for all presets.
@@ -56,12 +65,20 @@ class Transformer {
   /// appending every position to the caches. Layer-outer: weights are
   /// fetched once per layer for the whole batch; with `prefetch` non-null,
   /// layer i+1's weights load asynchronously while layer i computes.
+  /// Consecutive sequences share a row group of at most max(64, max T_i)
+  /// rows. Every row's result — state and cache — is bit-identical to a
+  /// forward over that sequence alone: the GEMM kernel's summation order
+  /// does not depend on the row count.
   void forward(std::vector<tensor::Tensor>& states,
                std::vector<SequenceCache*>& caches,
                parallel::ThreadPool* prefetch = nullptr);
 
   /// Final LayerNorm + tied unembedding of the last row → [vocab].
   tensor::Tensor logits(const tensor::Tensor& state);
+
+  /// logits() of every state's last row as one GEMM → [B, vocab]; row b
+  /// is bit-identical to logits(states[b]).
+  tensor::Tensor logits(const std::vector<tensor::Tensor>& states);
 
   /// Weight-tensor name for OffloadManager lookups, e.g. name(3, "wq").
   static std::string weight_name(std::int64_t layer, const std::string& kind);
@@ -72,12 +89,28 @@ class Transformer {
     tensor::Tensor ln1_gamma, ln1_beta, ln2_gamma, ln2_beta;
   };
 
+  /// Consecutive sequences stacked into one [rows, h] state matrix.
+  struct RowGroup {
+    std::size_t first = 0;             ///< index of the first sequence
+    std::vector<std::int64_t> rows;    ///< T_i of each member sequence
+    tensor::Tensor x;                  ///< [Σ T_i, h]
+  };
+  /// K and V read views, reused by every attention call of one forward
+  /// pass: f32 rows point into the caches, decoded rows into the scratch.
+  struct KVViews {
+    KVRowView k, v;
+  };
+
   LayerWeights fetch_layer(std::int64_t layer);
-  /// One layer over one sequence: attention (with cache append) + MLP.
-  tensor::Tensor layer_forward(const LayerWeights& w, const tensor::Tensor& x,
-                               KVCacheBase& cache);
-  tensor::Tensor attention(const LayerWeights& w, const tensor::Tensor& x,
-                           KVCacheBase& cache);
+  /// One layer over one row group: attention (per sequence, with cache
+  /// append) + MLP, one GEMM per weight.
+  void layer_forward(const LayerWeights& w, std::int64_t layer,
+                     RowGroup& group, std::vector<SequenceCache*>& caches,
+                     KVViews& views);
+  /// Causal attention of one sequence's `t_new` query rows `q` over
+  /// `cache` (already holding them), written to `out` ([t_new, h] rows).
+  void attention(const float* q, std::int64_t t_new, const KVCacheBase& cache,
+                 KVViews& views, float* out);
 
   model::ModelSpec spec_;
   OffloadManager& manager_;

@@ -52,23 +52,17 @@ void WindowKVCache::append(const tensor::Tensor& k_row,
 
 std::int64_t WindowKVCache::length() const { return visible_; }
 
-tensor::Tensor WindowKVCache::gather(const std::vector<float>& ring) const {
-  LMO_CHECK_GT(visible_, 0);
-  tensor::Tensor out = tensor::Tensor::zeros({visible_, hidden_});
-  auto dst = out.f32();
+void WindowKVCache::read_rows(KVPlane plane, KVRowView& view) const {
+  const std::vector<float>& ring =
+      plane == KVPlane::kKeys ? k_ring_ : v_ring_;
+  view.rows.resize(static_cast<std::size_t>(visible_));
   // Oldest-visible first, preserving temporal order within the window.
   const std::int64_t oldest = appended_ - visible_;
   for (std::int64_t i = 0; i < visible_; ++i) {
     const std::int64_t slot = (oldest + i) % window_;
-    std::memcpy(dst.data() + i * hidden_, ring.data() + slot * hidden_,
-                static_cast<std::size_t>(hidden_) * sizeof(float));
+    view.rows[static_cast<std::size_t>(i)] = ring.data() + slot * hidden_;
   }
-  return out;
 }
-
-tensor::Tensor WindowKVCache::keys() const { return gather(k_ring_); }
-
-tensor::Tensor WindowKVCache::values() const { return gather(v_ring_); }
 
 void WindowKVCache::truncate(std::int64_t new_length) {
   LMO_CHECK_GE(new_length, 0);

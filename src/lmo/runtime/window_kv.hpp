@@ -30,8 +30,9 @@ class WindowKVCache : public KVCacheBase {
               const tensor::Tensor& v_row) override;
   /// Rows currently visible (≤ window; < window until it fills).
   std::int64_t length() const override;
-  tensor::Tensor keys() const override;
-  tensor::Tensor values() const override;
+  std::int64_t hidden() const override { return hidden_; }
+  /// Rows are read in place from the ring, oldest visible first.
+  void read_rows(KVPlane plane, KVRowView& view) const override;
   /// Truncation drops the *newest* rows (rollback semantics shared with
   /// the exact caches); only supported back to the window contents.
   void truncate(std::int64_t new_length) override;
@@ -56,7 +57,6 @@ class WindowKVCache : public KVCacheBase {
                std::vector<float> k_ring, std::vector<float> v_ring);
 
  private:
-  tensor::Tensor gather(const std::vector<float>& ring) const;
 
   std::int64_t hidden_;
   std::int64_t window_;

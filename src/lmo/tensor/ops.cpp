@@ -1,7 +1,9 @@
 #include "lmo/tensor/ops.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "lmo/util/check.hpp"
 
@@ -14,60 +16,90 @@ void require_rank2(const Tensor& t, const char* name) {
                     t.shape().to_string());
 }
 
+// Register-tiled kernel for matmul_nt_blocked. Every output element is
+// summed in one fixed order — start from 0.0f, add each k-block's partial
+// sum (itself accumulated from 0.0f in ascending k) — so the tiled and the
+// scalar paths produce bit-identical results. The tiles only change which
+// elements are in flight at once, never the order within one element.
+using v4sf = float __attribute__((vector_size(16)));
+
+constexpr std::int64_t kPanelCols = 8;  // B columns per packed panel
+constexpr std::int64_t kTileRows = 4;   // A rows per register tile
+
+v4sf load4(const float* p) {
+  v4sf v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+void store4(float* p, v4sf v) { std::memcpy(p, &v, sizeof(v)); }
+
+// C[R rows, cols] += A[R rows, kb] · panel, where `panel` holds kb rows of
+// kPanelCols packed B columns (zero past `cols`).
+template <int R>
+void tile(const float* a, std::int64_t lda, const float* panel,
+          std::int64_t kb, float* c, std::int64_t ldc, std::int64_t cols) {
+  v4sf lo[R], hi[R];
+  for (int r = 0; r < R; ++r) lo[r] = hi[r] = v4sf{};
+  for (std::int64_t kk = 0; kk < kb; ++kk) {
+    const v4sf b_lo = load4(panel + kk * kPanelCols);
+    const v4sf b_hi = load4(panel + kk * kPanelCols + 4);
+    for (int r = 0; r < R; ++r) {
+      const float x = a[r * lda + kk];
+      const v4sf ax = {x, x, x, x};
+      lo[r] += ax * b_lo;
+      hi[r] += ax * b_hi;
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    float* crow = c + r * ldc;
+    if (cols == kPanelCols) {
+      store4(crow, load4(crow) + lo[r]);
+      store4(crow + 4, load4(crow + 4) + hi[r]);
+    } else {
+      float sums[kPanelCols] = {};
+      store4(sums, lo[r]);
+      store4(sums + 4, hi[r]);
+      for (std::int64_t j = 0; j < cols; ++j) crow[j] += sums[j];
+    }
+  }
+}
+
+// Fewer rows than a tile: packing B would cost as much as the product, so
+// each row instead runs kPanelCols independent scalar chains over B's rows.
+void small_m(const float* a, const float* b, float* c, std::int64_t m,
+             std::int64_t k, std::int64_t n, std::int64_t block) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    float* crow = c + i * n;
+    std::int64_t j = 0;
+    for (; j + kPanelCols <= n; j += kPanelCols) {
+      const float* brow = b + j * k;
+      for (std::int64_t k0 = 0; k0 < k; k0 += block) {
+        const std::int64_t k1 = std::min(k0 + block, k);
+        float s[kPanelCols] = {};
+        for (std::int64_t kk = k0; kk < k1; ++kk) {
+          const float x = arow[kk];
+          for (std::int64_t jj = 0; jj < kPanelCols; ++jj) {
+            s[jj] += x * brow[jj * k + kk];
+          }
+        }
+        for (std::int64_t jj = 0; jj < kPanelCols; ++jj) crow[j + jj] += s[jj];
+      }
+    }
+    for (; j < n; ++j) {
+      const float* brow = b + j * k;
+      for (std::int64_t k0 = 0; k0 < k; k0 += block) {
+        const std::int64_t k1 = std::min(k0 + block, k);
+        float acc = 0.0f;
+        for (std::int64_t kk = k0; kk < k1; ++kk) acc += arow[kk] * brow[kk];
+        crow[j] += acc;
+      }
+    }
+  }
+}
+
 }  // namespace
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  require_rank2(a, "matmul lhs");
-  require_rank2(b, "matmul rhs");
-  const std::int64_t m = a.shape()[0];
-  const std::int64_t k = a.shape()[1];
-  LMO_CHECK_EQ(b.shape()[0], k);
-  const std::int64_t n = b.shape()[1];
-
-  Tensor c = Tensor::zeros({m, n});
-  auto pa = a.f32();
-  auto pb = b.f32();
-  auto pc = c.f32();
-  // i-k-j loop order: unit-stride inner loop on both B and C.
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float aik = pa[static_cast<std::size_t>(i * k + kk)];
-      if (aik == 0.0f) continue;
-      const float* brow = pb.data() + kk * n;
-      float* crow = pc.data() + i * n;
-      for (std::int64_t j = 0; j < n; ++j) {
-        crow[j] += aik * brow[j];
-      }
-    }
-  }
-  return c;
-}
-
-Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  require_rank2(a, "matmul_nt lhs");
-  require_rank2(b, "matmul_nt rhs");
-  const std::int64_t m = a.shape()[0];
-  const std::int64_t k = a.shape()[1];
-  LMO_CHECK_EQ(b.shape()[1], k);
-  const std::int64_t n = b.shape()[0];
-
-  Tensor c = Tensor::zeros({m, n});
-  auto pa = a.f32();
-  auto pb = b.f32();
-  auto pc = c.f32();
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* arow = pa.data() + i * k;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float* brow = pb.data() + j * k;
-      float acc = 0.0f;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        acc += arow[kk] * brow[kk];
-      }
-      pc[static_cast<std::size_t>(i * n + j)] = acc;
-    }
-  }
-  return c;
-}
 
 Tensor matmul_nt_blocked(const Tensor& a, const Tensor& b,
                          std::int64_t block) {
@@ -80,27 +112,35 @@ Tensor matmul_nt_blocked(const Tensor& a, const Tensor& b,
   const std::int64_t n = b.shape()[0];
 
   Tensor c = Tensor::zeros({m, n});
-  auto pa = a.f32();
-  auto pb = b.f32();
-  auto pc = c.f32();
-  for (std::int64_t i0 = 0; i0 < m; i0 += block) {
-    const std::int64_t i1 = std::min(i0 + block, m);
-    for (std::int64_t j0 = 0; j0 < n; j0 += block) {
-      const std::int64_t j1 = std::min(j0 + block, n);
-      for (std::int64_t k0 = 0; k0 < k; k0 += block) {
-        const std::int64_t k1 = std::min(k0 + block, k);
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const float* arow = pa.data() + i * k;
-          float* crow = pc.data() + i * n;
-          for (std::int64_t j = j0; j < j1; ++j) {
-            const float* brow = pb.data() + j * k;
-            float acc = 0.0f;
-            for (std::int64_t kk = k0; kk < k1; ++kk) {
-              acc += arow[kk] * brow[kk];
-            }
-            crow[j] += acc;
-          }
+  const float* pa = a.f32().data();
+  const float* pb = b.f32().data();
+  float* pc = c.f32().data();
+  if (m < kTileRows) {
+    small_m(pa, pb, pc, m, k, n, block);
+    return c;
+  }
+  // One panel: kPanelCols columns of B, transposed to [kb][kPanelCols].
+  std::vector<float> panel(
+      static_cast<std::size_t>(kPanelCols * std::min(block, k)));
+  for (std::int64_t j0 = 0; j0 < n; j0 += kPanelCols) {
+    const std::int64_t cols = std::min(kPanelCols, n - j0);
+    for (std::int64_t k0 = 0; k0 < k; k0 += block) {
+      const std::int64_t kb = std::min(block, k - k0);
+      if (cols < kPanelCols) std::fill(panel.begin(), panel.end(), 0.0f);
+      for (std::int64_t jj = 0; jj < cols; ++jj) {
+        const float* brow = pb + (j0 + jj) * k + k0;
+        for (std::int64_t kk = 0; kk < kb; ++kk) {
+          panel[kk * kPanelCols + jj] = brow[kk];
         }
+      }
+      std::int64_t i = 0;
+      for (; i + kTileRows <= m; i += kTileRows) {
+        tile<kTileRows>(pa + i * k + k0, k, panel.data(), kb, pc + i * n + j0,
+                        n, cols);
+      }
+      for (; i < m; ++i) {
+        tile<1>(pa + i * k + k0, k, panel.data(), kb, pc + i * n + j0, n,
+                cols);
       }
     }
   }

@@ -1,6 +1,7 @@
 // Transformer compute primitives, f32 only. These are the "real execution"
-// kernels the runtime uses; they favour clarity and testability over peak
-// throughput (the paper-scale experiments run on the simulator, not here).
+// kernels the runtime uses; they favour clarity and exact, order-defined
+// results over peak throughput (the paper-scale experiments run on the
+// simulator, not here).
 #pragma once
 
 #include <cstdint>
@@ -9,16 +10,15 @@
 
 namespace lmo::tensor {
 
-/// C[m,n] = A[m,k] · B[k,n].
-Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// C[m,n] = A[m,k] · Bᵀ where B is [n,k] (projection with row-major weights).
-Tensor matmul_nt(const Tensor& a, const Tensor& b);
-
-/// Cache-blocked variant of matmul_nt: identical result, tiled i/j/k loops
-/// sized to keep the working set in L1/L2. `block` is the tile edge in
-/// elements. The runtime uses this for projection GEMMs once matrices
-/// exceed the cache.
+/// C[m,n] = A[m,k] · Bᵀ where B is [n,k] (projection with row-major
+/// weights). Each output element is summed in a fixed order: from 0.0f, add
+/// the partial sum of each `block`-wide k-block in ascending k, where a
+/// partial sum starts at 0.0f and adds its products in ascending k. The
+/// result is therefore independent of m and of how rows are batched — a
+/// row of a stacked [B·T, k] product is bit-identical to the same row
+/// computed alone — but equals a single-chain dot product only for
+/// k ≤ block. Calls with m ≥ 4 run a register-tiled kernel over packed
+/// 8-column panels of B; smaller calls skip packing.
 Tensor matmul_nt_blocked(const Tensor& a, const Tensor& b,
                          std::int64_t block = 64);
 

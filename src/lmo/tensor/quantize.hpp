@@ -73,7 +73,6 @@ class QuantizedTensor {
   friend struct QuantPhaseTimes;
   friend QuantizedTensor quantize_profiled(const Tensor&, const QuantConfig&,
                                            struct QuantPhaseTimes*);
-  friend Tensor dequantize(const QuantizedTensor&);
 
   Shape original_shape_;
   QuantConfig config_;
@@ -104,6 +103,10 @@ QuantizedTensor quantize_profiled(const Tensor& input,
 
 /// Reconstruct f32 with Eq. 11; padding is stripped, original shape restored.
 Tensor dequantize(const QuantizedTensor& quantized);
+
+/// Same values, written to `out[original_shape().numel()]` without
+/// allocating (the KV read path decodes rows into reusable scratch).
+void dequantize_into(const QuantizedTensor& quantized, float* out);
 
 /// Worst-case absolute reconstruction error for a group spanning
 /// [min, max]: half a quantization step.

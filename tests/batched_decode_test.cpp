@@ -1,0 +1,368 @@
+// Batched decode: row-group forward passes and the KV row-view read path.
+// Every fast path here keeps its slow path as the oracle — a per-sequence
+// forward, a copying keys()/values() read, and digests of logits recorded
+// from the per-sequence, copy-every-read runtime.
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <functional>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "lmo/integrity/integrity.hpp"
+#include "lmo/kvshare/prefix_cache.hpp"
+#include "lmo/kvshare/shared_kv_cache.hpp"
+#include "lmo/runtime/kv_cache.hpp"
+#include "lmo/runtime/kv_factory.hpp"
+#include "lmo/runtime/paged_kv.hpp"
+#include "lmo/runtime/transformer.hpp"
+#include "lmo/telemetry/metrics.hpp"
+#include "lmo/tensor/ops.hpp"
+#include "lmo/util/fault.hpp"
+#include "lmo/util/rng.hpp"
+#include "lmo/util/status.hpp"
+
+namespace lmo::runtime {
+namespace {
+
+using tensor::Tensor;
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw().data(), b.raw().data(), a.raw().size()) == 0;
+}
+
+std::vector<std::int64_t> random_prompt(util::Xoshiro256& rng,
+                                        std::int64_t len) {
+  std::vector<std::int64_t> prompt;
+  for (std::int64_t i = 0; i < len; ++i) {
+    prompt.push_back(static_cast<std::int64_t>(rng.below(256)));
+  }
+  return prompt;
+}
+
+// -- recorded digests --------------------------------------------------------
+
+// Greedy decode of ragged batches straight through the Transformer, with
+// every logits row folded into an FNV-1a hash byte by byte (and the chosen
+// tokens with them). Logit bytes make the hash sensitive to any numeric
+// drift, which greedy tokens alone are not: the tied-embedding toy model
+// mostly echoes its input token.
+struct HashCase {
+  const char* name;
+  int weight_bits;
+  int kv_bits;
+  std::int64_t device_layers;
+  KVFlavor kv;
+  std::uint64_t digest;  ///< recorded from the per-sequence runtime
+};
+
+std::uint64_t fnv(std::uint64_t hash, std::span<const std::byte> bytes) {
+  for (std::byte b : bytes) {
+    hash = (hash ^ static_cast<std::uint64_t>(b)) * 1099511628211ull;
+  }
+  return hash;
+}
+
+std::uint64_t forward_hash(const HashCase& c) {
+  const model::ModelSpec spec = model::ModelSpec::tiny(3, 128, 4, 256);
+  MemoryPool device("device", 256u << 20);
+  MemoryPool host("host", 1024u << 20);
+  OffloadManager manager(device, host, c.weight_bits, 32);
+  Transformer model(spec, manager, c.device_layers, 42);
+  parallel::ThreadPool prefetch(2);
+  PagePool pages(spec.hidden, 16, host);
+  KvCacheSpec kv;
+  kv.hidden = spec.hidden;
+  kv.num_layers = spec.num_layers;
+  kv.kv_bits = c.kv_bits;
+  kv.quant_group = 32;
+  kv.window_tokens = 32;
+  kv.pool = &host;
+  kv.page_pool = &pages;
+
+  util::Xoshiro256 rng(7);
+  std::uint64_t hash = 1469598103934665603ull;
+  // The first batch splits across row groups (cap 70: {5}, {70}, {12, 33,
+  // 1}, {64}) and decodes through the 4-row tiles; the second stays under
+  // one tile.
+  for (const std::vector<std::int64_t>& lengths :
+       {std::vector<std::int64_t>{5, 70, 12, 33, 1, 64},
+        std::vector<std::int64_t>{9, 20, 3}}) {
+    std::vector<SequenceCache> caches;
+    std::vector<SequenceCache*> cache_ptrs;
+    std::vector<Tensor> states;
+    for (std::int64_t len : lengths) {
+      states.push_back(model.embed(random_prompt(rng, len)));
+      caches.push_back(MakeKvCache(c.kv, kv));
+    }
+    for (auto& cache : caches) cache_ptrs.push_back(&cache);
+    for (int step = 0; step < 10; ++step) {
+      model.forward(states, cache_ptrs, &prefetch);
+      for (auto& state : states) {
+        const Tensor logits = model.logits(state);
+        hash = fnv(hash, logits.raw());
+        const std::int64_t token[] = {tensor::argmax(logits)};
+        hash = fnv(hash, std::as_bytes(std::span<const std::int64_t>(token)));
+        state = model.embed(token);
+      }
+    }
+  }
+  return hash;
+}
+
+TEST(ForwardDigest, MatchesThePerSequenceRuntime) {
+  const HashCase cases[] = {
+      {"fp16", 16, 16, 0, KVFlavor::kDense, 0x7bb915ebf21d3b34ull},
+      {"w4-kv4", 4, 4, 0, KVFlavor::kDense, 0xcdf16a2a0af666bdull},
+      {"w8-kv8", 8, 8, 0, KVFlavor::kDense, 0xe6839bf16b545fa1ull},
+      {"device-resident", 16, 16, 3, KVFlavor::kDense, 0xdded24c70659dee3ull},
+      {"paged", 16, 16, 0, KVFlavor::kPaged, 0x7bb915ebf21d3b34ull},
+      {"window", 16, 16, 0, KVFlavor::kWindow, 0xe5958dadddb3ccbdull},
+  };
+  for (const HashCase& c : cases) {
+    EXPECT_EQ(forward_hash(c), c.digest) << c.name;
+  }
+}
+
+// -- batched vs per-sequence forward -----------------------------------------
+
+/// Builds one sequence's per-layer caches; called twice per sequence so the
+/// batched and the per-sequence pass start from equal, independent caches.
+using CacheMaker = std::function<SequenceCache()>;
+
+void expect_batched_matches_per_sequence(const std::string& label,
+                                         const CacheMaker& make) {
+  SCOPED_TRACE(label);
+  const model::ModelSpec spec = model::ModelSpec::tiny(2, 128, 4, 256);
+  MemoryPool device("device", 256u << 20);
+  MemoryPool host("host", 256u << 20);
+  OffloadManager manager(device, host, 16, 32);
+  Transformer model(spec, manager, 0, 11);
+
+  // Ragged lengths: the row cap is 70, so {5} + {70} split, {12, 33, 1}
+  // share a group and {64} starts another.
+  const std::vector<std::int64_t> lengths = {5, 70, 12, 33, 1, 64};
+  util::Xoshiro256 rng(3);
+  std::vector<Tensor> batched, single;
+  std::vector<SequenceCache> batched_caches, single_caches;
+  for (std::int64_t len : lengths) {
+    batched.push_back(model.embed(random_prompt(rng, len)));
+    single.push_back(batched.back().clone());
+    batched_caches.push_back(make());
+    single_caches.push_back(make());
+  }
+  std::vector<SequenceCache*> batched_ptrs;
+  for (auto& cache : batched_caches) batched_ptrs.push_back(&cache);
+
+  // A ragged prefill, then two single-token decode steps over the caches
+  // it built.
+  for (int round = 0; round < 3; ++round) {
+    model.forward(batched, batched_ptrs);
+    for (std::size_t s = 0; s < single.size(); ++s) {
+      std::vector<Tensor> one = {single[s]};
+      std::vector<SequenceCache*> one_cache = {&single_caches[s]};
+      model.forward(one, one_cache);
+      single[s] = one[0];
+    }
+    for (std::size_t s = 0; s < lengths.size(); ++s) {
+      EXPECT_TRUE(same_bytes(batched[s], single[s]))
+          << "round " << round << " seq " << s;
+      for (std::size_t layer = 0; layer < batched_caches[s].size(); ++layer) {
+        const KVCacheBase& a = *batched_caches[s][layer];
+        const KVCacheBase& b = *single_caches[s][layer];
+        ASSERT_EQ(a.length(), b.length());
+        EXPECT_TRUE(same_bytes(a.keys(), b.keys()))
+            << "round " << round << " seq " << s << " layer " << layer;
+        EXPECT_TRUE(same_bytes(a.values(), b.values()))
+            << "round " << round << " seq " << s << " layer " << layer;
+      }
+    }
+    // Next round: one new token per sequence.
+    for (std::size_t s = 0; s < lengths.size(); ++s) {
+      const std::int64_t token[] = {static_cast<std::int64_t>(s * 7 + round)};
+      batched[s] = model.embed(token);
+      single[s] = batched[s].clone();
+    }
+  }
+}
+
+TEST(BatchedForward, MatchesPerSequenceForEveryKvBackend) {
+  const std::int64_t hidden = 128;
+  const std::int64_t layers = 2;
+  MemoryPool kv_pool("kv", 512u << 20);
+  PagePool pages(hidden, 16, kv_pool);
+  KvCacheSpec spec;
+  spec.hidden = hidden;
+  spec.num_layers = layers;
+  spec.quant_group = 32;
+  spec.window_tokens = 24;  // smaller than the longest prompt: evicts
+  spec.pool = &kv_pool;
+  spec.page_pool = &pages;
+  for (int bits : {16, 8, 4}) {
+    KvCacheSpec dense = spec;
+    dense.kv_bits = bits;
+    expect_batched_matches_per_sequence(
+        "dense kv" + std::to_string(bits),
+        [&] { return MakeKvCache(KVFlavor::kDense, dense); });
+  }
+  expect_batched_matches_per_sequence(
+      "paged", [&] { return MakeKvCache(KVFlavor::kPaged, spec); });
+  expect_batched_matches_per_sequence(
+      "window", [&] { return MakeKvCache(KVFlavor::kWindow, spec); });
+
+  // Shared: every sequence starts from the same cached 8-token prefix
+  // (two 4-token blocks) and appends privately.
+  kvshare::PrefixCacheConfig config;
+  config.block_tokens = 4;
+  config.hidden = hidden;
+  config.num_layers = layers;
+  kvshare::PrefixCache prefix(config, &kv_pool, nullptr);
+  util::Xoshiro256 rng(5);
+  std::vector<std::int64_t> tokens(12);
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    tokens[i] = static_cast<std::int64_t>(i);
+  }
+  prefix.insert(std::span<const std::int64_t>(tokens).first(8),
+                [&](std::int64_t, float* payload) {
+                  for (std::size_t i = 0; i < config.payload_floats(); ++i) {
+                    payload[i] = static_cast<float>(rng.normal());
+                  }
+                });
+  const auto lease = prefix.match(tokens);
+  ASSERT_NE(lease, nullptr);
+  ASSERT_EQ(lease->matched_tokens(), 8);
+  expect_batched_matches_per_sequence("shared", [&] {
+    SequenceCache cache;
+    for (std::int64_t layer = 0; layer < layers; ++layer) {
+      cache.push_back(std::make_unique<kvshare::SharedKVCache>(
+          hidden, layer, lease, 8, kv_pool));
+    }
+    return cache;
+  });
+}
+
+// -- the row view -------------------------------------------------------------
+
+Tensor ramp_row(std::int64_t hidden, float base) {
+  Tensor row = Tensor::zeros({hidden});
+  auto p = row.f32();
+  for (std::int64_t i = 0; i < hidden; ++i) {
+    p[static_cast<std::size_t>(i)] = base + 0.25f * static_cast<float>(i);
+  }
+  return row;
+}
+
+TEST(KVRowView, F32RowsAreReadInPlace) {
+  MemoryPool pool("host", 1 << 20);
+  KVCache cache(8, 16, 8, pool);
+  for (int i = 0; i < 5; ++i) {
+    cache.append(ramp_row(8, static_cast<float>(i)),
+                 ramp_row(8, -static_cast<float>(i)));
+  }
+  KVRowView view;
+  cache.read_rows(KVPlane::kKeys, view);
+  ASSERT_EQ(view.rows.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(view.rows[i], cache.k_rows()[i].plain.f32().data());
+  }
+  EXPECT_TRUE(view.scratch.empty());  // nothing decoded, nothing copied
+
+  // Quantized rows decode into the view's scratch, equal to keys().
+  KVCache quant(8, 4, 8, pool);
+  for (int i = 0; i < 5; ++i) {
+    quant.append(ramp_row(8, static_cast<float>(i)),
+                 ramp_row(8, -static_cast<float>(i)));
+  }
+  quant.read_rows(KVPlane::kValues, view);
+  const Tensor values = quant.values();
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(std::memcmp(view.rows[i], values.f32().data() + i * 8,
+                          8 * sizeof(float)),
+              0);
+  }
+}
+
+/// Fault-injector position of the KV flip site: (corrupt_bit calls, draws).
+std::pair<std::int64_t, std::uint64_t> flip_site_position() {
+  for (const auto& state : util::FaultInjector::instance().site_states()) {
+    if (state.site == "integrity.kv.flip") return {state.ops, state.draws};
+  }
+  return {-1, 0};
+}
+
+// The copying read this view replaced made one corrupt_bit draw per row, in
+// row order, verified each row right after its draw and threw at the first
+// row whose wire copy failed. The view keeps that contract for f32 and
+// quantized rows alike, and keys() (now built on the view) agrees with it.
+TEST(KVRowView, IntegrityMatchesTheCopyingRead) {
+  constexpr std::int64_t kRows = 24;
+  constexpr std::uint64_t kSeed = 17;
+  util::FaultSpec flips;
+  flips.flip_probability = 0.25;
+  for (int bits : {16, 4}) {
+    SCOPED_TRACE("kv" + std::to_string(bits));
+    integrity::IntegrityConfig config;
+    config.policy = integrity::VerifyPolicy::kAlways;
+    telemetry::MetricsRegistry metrics;
+    integrity::ChecksumRegistry registry(config, &metrics);
+    MemoryPool pool("host", 1 << 24);
+    KVCache verified(16, bits, 8, pool);
+    KVCache plain(16, bits, 8, pool);
+    verified.set_integrity(&registry, "kv.parity");
+    for (std::int64_t i = 0; i < kRows; ++i) {
+      const Tensor k = ramp_row(16, static_cast<float>(i));
+      const Tensor v = ramp_row(16, 0.5f - static_cast<float>(i));
+      verified.append(k, v);
+      plain.append(k, v);
+    }
+    const Tensor clean = plain.keys();
+
+    // Unverified twin: every row is read (one flip-site op each), and the
+    // first corrupted row is where verification must stop.
+    std::int64_t first_flip = -1;
+    {
+      util::ScopedFaultInjection chaos(kSeed);
+      chaos.arm("integrity.kv.flip", flips);
+      KVRowView view;
+      plain.read_rows(KVPlane::kKeys, view);
+      EXPECT_EQ(flip_site_position().first, kRows);
+      for (std::int64_t i = 0; i < kRows && first_flip < 0; ++i) {
+        if (std::memcmp(view.rows[static_cast<std::size_t>(i)],
+                        clean.f32().data() + i * 16, 16 * sizeof(float))) {
+          first_flip = i;
+        }
+      }
+      plain.read_rows(KVPlane::kValues, view);
+      EXPECT_EQ(flip_site_position().first, 2 * kRows);
+    }
+    ASSERT_GE(first_flip, 0) << "seed produced no flip in the keys plane";
+
+    const std::string where =
+        "KV row " + std::to_string(first_flip) + " of kv.parity";
+    std::pair<std::int64_t, std::uint64_t> at_view, at_keys;
+    for (bool via_view : {true, false}) {
+      util::ScopedFaultInjection chaos(kSeed);
+      chaos.arm("integrity.kv.flip", flips);
+      try {
+        if (via_view) {
+          KVRowView view;
+          verified.read_rows(KVPlane::kKeys, view);
+        } else {
+          (void)verified.keys();
+        }
+        ADD_FAILURE() << "flipped row was not detected";
+      } catch (const util::DataCorruption& e) {
+        EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+            << e.what();
+      }
+      (via_view ? at_view : at_keys) = flip_site_position();
+    }
+    EXPECT_EQ(at_view.first, first_flip + 1);  // stopped at the flipped row
+    EXPECT_EQ(at_view, at_keys);
+  }
+}
+
+}  // namespace
+}  // namespace lmo::runtime

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <tuple>
+#include <cstring>
+
+#include "matmul_reference.hpp"
 
 #include "lmo/tensor/ops.hpp"
 #include "lmo/util/check.hpp"
@@ -12,52 +14,71 @@ namespace {
 
 using util::CheckError;
 
-TEST(Ops, MatmulKnownValues) {
-  // [1 2; 3 4] · [5 6; 7 8] = [19 22; 43 50]
+TEST(Ops, MatmulNtKnownValues) {
+  // [1 2; 3 4] · [5 7; 6 8]ᵀ = [19 22; 43 50]
   Tensor a = Tensor::from_values({2, 2}, {1, 2, 3, 4});
   Tensor b = Tensor::from_values({2, 2}, {5, 6, 7, 8});
-  Tensor c = matmul(a, b);
-  EXPECT_FLOAT_EQ(c.at({0, 0}), 19.0f);
-  EXPECT_FLOAT_EQ(c.at({0, 1}), 22.0f);
-  EXPECT_FLOAT_EQ(c.at({1, 0}), 43.0f);
-  EXPECT_FLOAT_EQ(c.at({1, 1}), 50.0f);
+  Tensor c = matmul_nt_blocked(a, b);
+  EXPECT_FLOAT_EQ(c.at({0, 0}), 17.0f);
+  EXPECT_FLOAT_EQ(c.at({0, 1}), 23.0f);
+  EXPECT_FLOAT_EQ(c.at({1, 0}), 39.0f);
+  EXPECT_FLOAT_EQ(c.at({1, 1}), 53.0f);
 }
 
-TEST(Ops, MatmulShapeMismatchThrows) {
+TEST(Ops, MatmulNtShapeMismatchThrows) {
   Tensor a = Tensor::zeros({2, 3});
   Tensor b = Tensor::zeros({4, 2});
-  EXPECT_THROW(matmul(a, b), CheckError);
+  EXPECT_THROW(matmul_nt_blocked(a, b), CheckError);
 }
 
-TEST(Ops, MatmulNtEqualsMatmulWithTranspose) {
-  util::Xoshiro256 rng(1);
-  Tensor a = Tensor::uniform({5, 7}, rng);
-  Tensor b = Tensor::uniform({4, 7}, rng);  // [n, k]
-  Tensor via_nt = matmul_nt(a, b);
-  Tensor via_t = matmul(a, transpose2d(b));
-  EXPECT_LE(via_nt.max_abs_diff(via_t), 1e-5f);
-}
-
-TEST(Ops, MatmulIdentity) {
+TEST(Ops, MatmulNtIdentity) {
   util::Xoshiro256 rng(2);
-  Tensor a = Tensor::uniform({4, 4}, rng);
-  Tensor eye = Tensor::zeros({4, 4});
-  for (int i = 0; i < 4; ++i) eye.set({i, i}, 1.0f);
-  EXPECT_LE(matmul(a, eye).max_abs_diff(a), 1e-6f);
+  for (int m : {1, 4, 6}) {
+    Tensor a = Tensor::uniform({m, 4}, rng);
+    Tensor eye = Tensor::zeros({4, 4});
+    for (int i = 0; i < 4; ++i) eye.set({i, i}, 1.0f);
+    EXPECT_EQ(matmul_nt_blocked(a, eye).max_abs_diff(a), 0.0f) << m;
+  }
 }
 
-TEST(Ops, MatmulNtBlockedMatchesNaive) {
+// The tiled kernel is bit-identical to the scalar reference loop across
+// tile edges: row counts on both sides of the 4-row tile (and the unpacked
+// m < 4 path), k around the block width, n off the 8-column panel.
+TEST(Ops, MatmulNtBlockedMatchesReferenceBytewise) {
   util::Xoshiro256 rng(21);
-  // Non-multiple-of-block shapes exercise the tile edges.
-  for (auto [m, k, n] : {std::tuple<int, int, int>{65, 70, 33},
-                         std::tuple<int, int, int>{64, 64, 64},
-                         std::tuple<int, int, int>{1, 130, 7}}) {
-    Tensor a = Tensor::uniform({m, k}, rng);
-    Tensor b = Tensor::uniform({n, k}, rng);
-    const Tensor naive = matmul_nt(a, b);
-    const Tensor blocked = matmul_nt_blocked(a, b, 32);
-    EXPECT_LE(naive.max_abs_diff(blocked), 1e-4f)
-        << m << "x" << k << "x" << n;
+  for (std::int64_t block : {7, 32, 64}) {
+    for (std::int64_t m : {0, 1, 3, 4, 5, 8, 33, 256}) {
+      for (std::int64_t k : {1, 63, 64, 65, 130}) {
+        for (std::int64_t n : {1, 7, 13, 30}) {
+          const Tensor a = Tensor::normal({m, k}, rng, 1.0f);
+          const Tensor b = Tensor::normal({n, k}, rng, 1.0f);
+          const Tensor want = testing::reference_matmul_nt(a, b, block);
+          const Tensor got = matmul_nt_blocked(a, b, block);
+          ASSERT_EQ(got.shape(), want.shape());
+          EXPECT_TRUE(want.raw().empty() ||
+                      std::memcmp(got.raw().data(), want.raw().data(),
+                                  want.raw().size()) == 0)
+              << "m=" << m << " k=" << k << " n=" << n << " block=" << block;
+        }
+      }
+    }
+  }
+}
+
+// Stacking rows never changes a row's result: the property batched decode
+// relies on.
+TEST(Ops, MatmulNtRowsIndependentOfBatch) {
+  util::Xoshiro256 rng(22);
+  const Tensor a = Tensor::normal({9, 130}, rng, 1.0f);
+  const Tensor b = Tensor::normal({21, 130}, rng, 1.0f);
+  const Tensor stacked = matmul_nt_blocked(a, b);
+  for (std::int64_t i = 0; i < 9; ++i) {
+    const Tensor alone = matmul_nt_blocked(slice_rows(a, i, i + 1), b);
+    EXPECT_EQ(std::memcmp(alone.raw().data(),
+                          stacked.raw().data() + alone.raw().size() * i,
+                          alone.raw().size()),
+              0)
+        << i;
   }
 }
 
