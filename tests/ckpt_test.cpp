@@ -420,6 +420,47 @@ TEST(GeneratorCkpt, KillResumeIsDeterministicWindow) {
   expect_kill_resume_deterministic(tiny_config(runtime::KVFlavor::kWindow));
 }
 
+// Checkpoints written by an earlier build of the runtime (format v3, in
+// tests/data) must keep resuming to the tokens that build produced in an
+// uninterrupted run. The sampling temperature is high enough that tokens
+// vary step to step yet still depend on the model's logits.
+runtime::RuntimeConfig fixture_config(runtime::KVFlavor flavor) {
+  auto config = tiny_config(flavor);
+  config.sampling.temperature = 8.0;
+  config.sampling.top_k = 0;
+  return config;
+}
+
+void expect_fixture_resumes(
+    const runtime::RuntimeConfig& config, const std::string& name,
+    const std::vector<std::vector<std::int64_t>>& expected) {
+  runtime::Generator gen(config);
+  gen.resume(std::string(LMO_TEST_DATA_DIR) + "/" + name);
+  EXPECT_EQ(gen.step_index(), kGenLen / 2);
+  while (!gen.done()) gen.step();
+  EXPECT_EQ(gen.finish().tokens, expected);
+}
+
+TEST(GeneratorCkpt, PagedFixtureFromEarlierBuildResumes) {
+  // Written mid-decode of kPrompts with 4-token pages.
+  auto config = fixture_config(runtime::KVFlavor::kPaged);
+  config.page_tokens = 4;
+  expect_fixture_resumes(config, "paged_kv_v3.ckpt",
+                         {{4, 35, 10, 10, 19, 19, 13, 13, 14, 62},
+                          {47, 52, 52, 32, 32, 17, 33, 54, 61, 61}});
+}
+
+TEST(GeneratorCkpt, PrefixShareFixtureFromEarlierBuildResumes) {
+  // Written mid-decode of a batch whose prompts matched 32 cached tokens
+  // (16 per sequence) published by a warm-up batch.
+  auto config = fixture_config(runtime::KVFlavor::kDense);
+  config.prefix_share = true;
+  config.kv_block_tokens = 4;
+  expect_fixture_resumes(config, "prefix_share_v3.ckpt",
+                         {{58, 58, 16, 16, 17, 61, 61, 38, 38, 30},
+                          {58, 25, 25, 41, 62, 62, 30, 1, 1, 55}});
+}
+
 TEST(GeneratorCkpt, SnapshotQuiescesActivePrefetchWorkers) {
   // With async prefetch on, snapshot() must drain in-flight transfers
   // (OffloadManager::quiesce) before serializing — this is the
