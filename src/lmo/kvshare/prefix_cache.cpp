@@ -1,6 +1,8 @@
 #include "lmo/kvshare/prefix_cache.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 
 #include "lmo/telemetry/trace.hpp"
 #include "lmo/util/check.hpp"
@@ -18,79 +20,27 @@ constexpr const char* kKvshareFlipSite = "integrity.kvshare.flip";
 
 }  // namespace
 
-void PrefixCacheConfig::validate() const {
-  LMO_CHECK_GT(block_tokens, 0);
-  if (materialize) {
-    LMO_CHECK_GT(hidden, 0);
-    LMO_CHECK_GT(num_layers, 0);
-  } else {
-    LMO_CHECK_GT(bytes_per_token, 0u);
-  }
-}
-
-std::size_t PrefixCacheConfig::payload_floats() const {
-  if (!materialize) return 0;
-  return static_cast<std::size_t>(num_layers) * 2u *
-         static_cast<std::size_t>(block_tokens) *
-         static_cast<std::size_t>(hidden);
-}
-
-std::size_t PrefixCacheConfig::token_bytes() const {
-  if (materialize) {
-    return static_cast<std::size_t>(num_layers) * 2u *
-           static_cast<std::size_t>(hidden) * sizeof(float);
-  }
-  return bytes_per_token;
-}
-
-std::size_t PrefixCacheConfig::block_bytes() const {
-  return token_bytes() * static_cast<std::size_t>(block_tokens);
-}
-
 // ---------------------------------------------------------------- lease --
 
 PrefixLease::~PrefixLease() {
   if (cache_ != nullptr) cache_->release(*this);
 }
 
-const float* PrefixLease::k_plane(std::size_t index,
-                                  std::int64_t layer) const {
-  const float* base = payloads_[index];
-  if (base == nullptr) return nullptr;
-  return base + static_cast<std::size_t>(layer * 2) *
-                    static_cast<std::size_t>(block_tokens_ * hidden_);
-}
-
-const float* PrefixLease::v_plane(std::size_t index,
-                                  std::int64_t layer) const {
-  const float* base = payloads_[index];
-  if (base == nullptr) return nullptr;
-  return base + static_cast<std::size_t>(layer * 2 + 1) *
-                    static_cast<std::size_t>(block_tokens_ * hidden_);
-}
-
 // ---------------------------------------------------------------- cache --
 
-PrefixCache::PrefixCache(const PrefixCacheConfig& config,
-                         runtime::MemoryPool* pool,
+PrefixCache::PrefixCache(runtime::KVBlockPool& blocks, std::int64_t layers,
                          telemetry::MetricsRegistry* metrics,
                          integrity::ChecksumRegistry* integrity)
-    : config_(config),
-      store_([&] {
-        config.validate();
-        BlockStoreConfig sc;
-        sc.block_tokens = config.block_tokens;
-        sc.payload_floats = config.payload_floats();
-        sc.bytes_per_block = config.block_bytes();
-        sc.capacity_bytes = config.capacity_bytes;
-        return sc;
-      }(), pool),
-      tree_(config.block_tokens),
+    : blocks_(blocks),
+      layers_(static_cast<std::size_t>(layers)),
+      node_bytes_(blocks.block_bytes() * static_cast<std::size_t>(layers)),
+      tree_(blocks.block_tokens()),
+      pool_(blocks.memory_pool()),
       integrity_(integrity),
       metrics_(metrics) {
-  if (pool != nullptr) {
-    pool_ = pool;
-    pressure_callback_id_ = pool->add_pressure_callback(
+  LMO_CHECK_GT(layers, 0);
+  if (pool_ != nullptr) {
+    pressure_callback_id_ = pool_->add_pressure_callback(
         [this](overload::PressureLevel, std::size_t bytes_needed) {
           return relieve_pressure(bytes_needed);
         });
@@ -101,6 +51,13 @@ PrefixCache::~PrefixCache() {
   if (pool_ != nullptr) {
     pool_->remove_pressure_callback(pressure_callback_id_);
   }
+  Guard lock(*this);
+  RadixTree::visit(tree_.root(), [this](const RadixTree::Node& node) {
+    if (node.block >= 0) drop_node_locked(node.block);
+  });
+  for (const Quarantined& q : quarantined_) {
+    for (const std::int64_t handle : q.blocks) drop_node_locked(handle);
+  }
 }
 
 std::size_t PrefixCache::relieve_pressure(std::size_t bytes_needed) {
@@ -108,10 +65,11 @@ std::size_t PrefixCache::relieve_pressure(std::size_t bytes_needed) {
       std::this_thread::get_id()) {
     return 0;  // re-entrant: the running operation's own eviction handles it
   }
-  const std::size_t block = config_.block_bytes();
-  if (block == 0 || bytes_needed == 0) return 0;
-  const std::size_t wanted = (bytes_needed + block - 1) / block;
-  return evict(wanted) * block;
+  // A block a live sequence still references frees nothing when evicted,
+  // so keep going down the LRU order until enough bytes actually came free.
+  return evict_measured(std::numeric_limits<std::size_t>::max(),
+                        bytes_needed)
+      .second;
 }
 
 void PrefixCache::count(const char* name, std::uint64_t n) {
@@ -120,10 +78,10 @@ void PrefixCache::count(const char* name, std::uint64_t n) {
 
 void PrefixCache::update_gauges() {
   if (metrics_ == nullptr) return;
-  metrics_->gauge("kvshare.blocks_in_use")
-      .set(static_cast<double>(store_.live_blocks()));
+  const std::size_t held = held_locked();
+  metrics_->gauge("kvshare.blocks_in_use").set(static_cast<double>(held));
   metrics_->gauge("kvshare.bytes_in_use")
-      .set(static_cast<double>(store_.bytes_in_use()));
+      .set(static_cast<double>(held * node_bytes_));
   metrics_->gauge("kvshare.pinned").set(static_cast<double>(pinned_));
 }
 
@@ -133,17 +91,48 @@ std::shared_ptr<PrefixLease> PrefixCache::make_lease(
   auto lease = std::shared_ptr<PrefixLease>(new PrefixLease());
   lease->cache_ = this;
   lease->node_ = chain.back();
-  lease->block_tokens_ = config_.block_tokens;
-  lease->hidden_ = config_.hidden;
-  lease->blocks_.reserve(chain.size());
-  lease->payloads_.reserve(chain.size());
-  for (RadixTree::Node* node : chain) {
-    lease->blocks_.push_back(node->block);
-    lease->payloads_.push_back(store_.payload(node->block));
+  lease->pool_ = &blocks_;
+  lease->layers_ = layers_;
+  lease->ids_.reserve(chain.size() * layers_);
+  for (const RadixTree::Node* node : chain) {
+    const std::int64_t* ids = node_blocks_locked(node->block);
+    lease->ids_.insert(lease->ids_.end(), ids, ids + layers_);
   }
   tree_.pin(lease->node_);
   ++pinned_;
   return lease;
+}
+
+std::int64_t PrefixCache::new_handle_locked() {
+  if (!free_handles_.empty()) {
+    const std::int64_t handle = free_handles_.back();
+    free_handles_.pop_back();
+    return handle;
+  }
+  node_blocks_.resize(node_blocks_.size() + layers_, -1);
+  return static_cast<std::int64_t>(node_blocks_.size() / layers_) - 1;
+}
+
+std::size_t PrefixCache::drop_node_locked(std::int64_t handle) {
+  block_crcs_.erase(handle);
+  std::size_t freed = 0;
+  const std::int64_t* ids = node_blocks_locked(handle);
+  for (std::size_t layer = 0; layer < layers_; ++layer) {
+    if (blocks_.unref(ids[layer])) freed += blocks_.block_bytes();
+  }
+  free_handles_.push_back(handle);
+  return freed;
+}
+
+std::span<const float> PrefixCache::gather_locked(std::int64_t handle) {
+  const std::size_t floats = blocks_.block_bytes() / sizeof(float);
+  const std::int64_t* ids = node_blocks_locked(handle);
+  scratch_.resize(floats * layers_);
+  for (std::size_t layer = 0; layer < layers_; ++layer) {
+    std::memcpy(scratch_.data() + layer * floats, blocks_.data(ids[layer]),
+                blocks_.block_bytes());
+  }
+  return scratch_;
 }
 
 void PrefixCache::quarantine_locked(RadixTree::Node* node) {
@@ -154,47 +143,35 @@ void PrefixCache::quarantine_locked(RadixTree::Node* node) {
   // Collect the subtree's blocks and drop their fingerprints: a corrupt
   // block must never be matched again, so its CRC has no further use.
   int pins = 0;
-  std::vector<const RadixTree::Node*> stack{q.subtree.get()};
-  while (!stack.empty()) {
-    const RadixTree::Node* n = stack.back();
-    stack.pop_back();
-    q.blocks.push_back(n->block);
-    block_crcs_.erase(n->block);
-    pins += n->pins;
-    for (const auto& [key, child] : n->children) stack.push_back(child.get());
-  }
+  RadixTree::visit(*q.subtree, [&](const RadixTree::Node& n) {
+    q.blocks.push_back(n.block);
+    block_crcs_.erase(n.block);
+    pins += n.pins;
+  });
   if (integrity_ != nullptr) {
     integrity_->note_repair(integrity::RepairKind::kQuarantine);
     integrity_->note_quarantined_blocks(q.blocks.size());
   }
   if (pins == 0) {
     // No live lease reads these blocks; free them immediately.
-    for (const std::int64_t block : q.blocks) store_.unref(block);
+    for (const std::int64_t handle : q.blocks) drop_node_locked(handle);
     return;
   }
-  // Existing leases still pin nodes in the subtree and hold raw payload
-  // pointers: keep the blocks referenced until the last pin drops (see
-  // reap_quarantined_locked).
+  // Existing leases still pin nodes in the subtree: keep the blocks
+  // referenced until the last pin drops (see reap_quarantined_locked).
   quarantined_.push_back(std::move(q));
 }
 
 void PrefixCache::reap_quarantined_locked() {
   for (auto it = quarantined_.begin(); it != quarantined_.end();) {
     int pins = 0;
-    std::vector<const RadixTree::Node*> stack{it->subtree.get()};
-    while (!stack.empty()) {
-      const RadixTree::Node* n = stack.back();
-      stack.pop_back();
-      pins += n->pins;
-      for (const auto& [key, child] : n->children) {
-        stack.push_back(child.get());
-      }
-    }
+    RadixTree::visit(*it->subtree,
+                     [&pins](const RadixTree::Node& n) { pins += n.pins; });
     if (pins > 0) {
       ++it;
       continue;
     }
-    for (const std::int64_t block : it->blocks) store_.unref(block);
+    for (const std::int64_t handle : it->blocks) drop_node_locked(handle);
     it = quarantined_.erase(it);
   }
 }
@@ -203,28 +180,28 @@ void PrefixCache::verify_chain_locked(std::vector<RadixTree::Node*>& chain) {
   auto& injector = util::FaultInjector::instance();
   const bool inject = injector.enabled();
   const bool check = integrity_ != nullptr && integrity_->enabled();
-  if ((!inject && !check) || !config_.materialize) return;
-  const std::size_t floats = config_.payload_floats();
+  if ((!inject && !check) || !blocks_.materialized()) return;
+  const std::size_t block_bytes = blocks_.block_bytes();
   for (std::size_t i = 0; i < chain.size(); ++i) {
-    float* payload = store_.payload(chain[i]->block);
-    if (payload == nullptr) continue;
+    const std::int64_t handle = chain[i]->block;
     if (inject) {
-      const std::int64_t flip = injector.corrupt_bit(
-          kKvshareFlipSite,
-          static_cast<std::uint64_t>(floats) * sizeof(float) * 8);
+      const std::int64_t flip =
+          injector.corrupt_bit(kKvshareFlipSite, node_bytes_ * 8);
       if (flip >= 0) {
-        // At-rest rot: flip the stored byte itself. Whether anyone notices
-        // depends entirely on the verify policy below.
-        reinterpret_cast<std::uint8_t*>(payload)[flip / 8] ^=
+        // At-rest rot: flip the stored byte itself (the node's blocks in
+        // layer order are one bit space). Whether anyone notices depends
+        // entirely on the verify policy below.
+        const auto byte = static_cast<std::size_t>(flip / 8);
+        const std::int64_t id = node_blocks_locked(handle)[byte / block_bytes];
+        reinterpret_cast<std::uint8_t*>(blocks_.data(id))[byte % block_bytes] ^=
             static_cast<std::uint8_t>(1u << (flip % 8));
       }
     }
     if (!check) continue;
-    auto print = block_crcs_.find(chain[i]->block);
+    auto print = block_crcs_.find(handle);
     if (print == block_crcs_.end()) continue;
     if (!integrity_->config().should_verify(print->second.loads++)) continue;
-    if (integrity_->verify_value(
-            std::span<const float>(payload, floats), print->second.crc)) {
+    if (integrity_->verify_value(gather_locked(handle), print->second.crc)) {
       continue;
     }
     // Corrupt shared state: truncate the match at the bad block and detach
@@ -245,7 +222,7 @@ std::shared_ptr<PrefixLease> PrefixCache::match(
   // at least one token to produce the logits row it samples from.
   while (!chain.empty() &&
          static_cast<std::size_t>(static_cast<std::int64_t>(chain.size()) *
-                                  config_.block_tokens) >= tokens.size()) {
+                                  block_tokens()) >= tokens.size()) {
     chain.pop_back();
   }
   verify_chain_locked(chain);
@@ -257,42 +234,59 @@ std::shared_ptr<PrefixLease> PrefixCache::match(
   lock.unlock();
   count("kvshare.hit_tokens", hit);
   count("kvshare.miss_tokens", static_cast<std::uint64_t>(tokens.size()) - hit);
-  count("kvshare.bytes_saved", hit * config_.token_bytes());
+  count("kvshare.bytes_saved",
+        hit * (node_bytes_ / static_cast<std::size_t>(block_tokens())));
   return lease;
 }
 
-std::int64_t PrefixCache::allocate_with_eviction() {
-  std::int64_t id = store_.try_allocate();
-  while (id < 0) {
+std::int64_t PrefixCache::allocate_node_locked() {
+  const std::int64_t handle = new_handle_locked();
+  std::size_t filled = 0;
+  while (filled < layers_) {
+    const std::int64_t id = blocks_.try_allocate();
+    if (id >= 0) {
+      node_blocks_locked(handle)[filled++] = id;
+      continue;
+    }
     const std::int64_t victim = tree_.evict_lru();
-    if (victim < 0) return -1;  // everything pinned: give up gracefully
-    store_.unref(victim);
-    block_crcs_.erase(victim);
+    if (victim < 0) {
+      // Everything pinned: give up gracefully.
+      for (std::size_t layer = 0; layer < filled; ++layer) {
+        blocks_.unref(node_blocks_locked(handle)[layer]);
+      }
+      free_handles_.push_back(handle);
+      return -1;
+    }
+    drop_node_locked(victim);
     count("kvshare.evicted_blocks", 1);
-    id = store_.try_allocate();
   }
-  return id;
+  return handle;
 }
 
 std::shared_ptr<PrefixLease> PrefixCache::insert(
-    std::span<const std::int64_t> tokens, const BlockWriter& fill) {
+    std::span<const std::int64_t> tokens, const BlockSource& source) {
   Guard lock(*this);
   std::uint64_t fresh = 0;
   auto chain = tree_.insert(tokens, [&](std::int64_t token_offset) {
-    const std::int64_t id = allocate_with_eviction();
-    if (id < 0) return id;
-    ++fresh;
-    float* payload = store_.payload(id);
-    if (fill) fill(token_offset, payload);
-    // Fingerprint the block the moment it is sealed; matches re-check it
-    // per the integrity policy.
-    if (integrity_ != nullptr && integrity_->enabled() && payload != nullptr) {
-      block_crcs_[id] = BlockPrint{
-          util::crc32(std::span<const float>(payload,
-                                             config_.payload_floats())),
-          0};
+    std::int64_t handle;
+    if (source) {
+      const std::vector<std::int64_t> ids = source(token_offset);
+      LMO_CHECK_EQ(ids.size(), layers_);
+      for (const std::int64_t id : ids) blocks_.ref(id);
+      handle = new_handle_locked();
+      std::copy(ids.begin(), ids.end(), node_blocks_locked(handle));
+    } else {
+      handle = allocate_node_locked();
+      if (handle < 0) return handle;
     }
-    return id;
+    ++fresh;
+    // Fingerprint the node the moment it is cached; matches re-check it
+    // per the integrity policy.
+    if (integrity_ != nullptr && integrity_->enabled() &&
+        blocks_.materialized()) {
+      block_crcs_[handle] = BlockPrint{util::crc32(gather_locked(handle)), 0};
+    }
+    return handle;
   });
   auto lease = make_lease(chain);
   update_gauges();
@@ -302,19 +296,25 @@ std::shared_ptr<PrefixLease> PrefixCache::insert(
 }
 
 std::size_t PrefixCache::evict(std::size_t max_blocks) {
+  return evict_measured(max_blocks, std::numeric_limits<std::size_t>::max())
+      .first;
+}
+
+std::pair<std::size_t, std::size_t> PrefixCache::evict_measured(
+    std::size_t max_blocks, std::size_t bytes_wanted) {
   Guard lock(*this);
   std::size_t evicted = 0;
-  while (evicted < max_blocks) {
+  std::size_t freed = 0;
+  while (evicted < max_blocks && freed < bytes_wanted) {
     const std::int64_t victim = tree_.evict_lru();
     if (victim < 0) break;
-    store_.unref(victim);
-    block_crcs_.erase(victim);
+    freed += drop_node_locked(victim);
     ++evicted;
   }
   update_gauges();
   lock.unlock();
   count("kvshare.evicted_blocks", evicted);
-  return evicted;
+  return {evicted, freed};
 }
 
 void PrefixCache::release(PrefixLease& lease) {
@@ -337,12 +337,12 @@ std::size_t PrefixCache::quarantined_blocks() const {
 
 std::size_t PrefixCache::blocks_in_use() const {
   Guard lock(*this);
-  return store_.live_blocks();
+  return held_locked();
 }
 
 std::size_t PrefixCache::bytes_in_use() const {
   Guard lock(*this);
-  return store_.bytes_in_use();
+  return held_locked() * node_bytes_;
 }
 
 std::size_t PrefixCache::node_count() const {

@@ -1,19 +1,22 @@
 // Cross-request KV prefix cache: the facade tying the radix tree to the
-// block store, with pinning leases, pool-pressure-driven LRU eviction and
-// kvshare.* metrics. Two modes share one implementation:
+// runtime's ref-counted KVBlockPool, with pinning leases,
+// pool-pressure-driven LRU eviction and kvshare.* metrics. A radix node
+// holds one block per layer, so one cached block spans block_tokens tokens
+// across every layer. Two modes share one implementation:
 //
-//  * materialized (Generator): blocks hold real f32 K/V planes for every
-//    layer; a matched lease hands the transformer bit-exact cached rows so
-//    prefill runs only over the unmatched prompt suffix.
+//  * materialized (Generator): blocks hold real f32 K/V rows. Publishing a
+//    finished prefill refs the sequence's own blocks — no row is copied —
+//    and a matched lease lets a PagedKVCache start from the cached rows
+//    bit-exactly, so prefill runs only over the unmatched prompt suffix.
 //  * accounting-only (server_sim): blocks carry no payload, only modelled
 //    bytes — the simulator asks "how many prompt tokens would hit?" and
 //    charges the cost model for the remainder.
 //
 // All public methods are mutex-serialized, so concurrent generator /
 // prefetch threads may match, insert and release leases freely (the TSan
-// shard exercises exactly that). Lease payload pointers remain valid
-// without the lock because blocks are immutable once filled and pinned
-// chains are never evicted.
+// shard exercises exactly that). A lease's blocks stay live without the
+// lock because pinned chains are never evicted, and quarantined ones are
+// freed only after their last pin drops.
 #pragma once
 
 #include <atomic>
@@ -25,39 +28,22 @@
 #include <mutex>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "lmo/integrity/integrity.hpp"
-#include "lmo/kvshare/block_store.hpp"
 #include "lmo/kvshare/radix_tree.hpp"
+#include "lmo/runtime/paged_kv.hpp"
 #include "lmo/telemetry/metrics.hpp"
 
 namespace lmo::kvshare {
 
-struct PrefixCacheConfig {
-  std::int64_t block_tokens = 16;
-  /// Materialized mode: per-layer hidden width and layer count.
-  std::int64_t hidden = 0;
-  std::int64_t num_layers = 0;
-  bool materialize = true;
-  /// Accounting mode: modelled KV bytes per cached token.
-  std::size_t bytes_per_token = 0;
-  /// Hard byte budget; 0 = bounded only by the pool.
-  std::size_t capacity_bytes = 0;
-
-  void validate() const;
-  /// Floats per materialized block: layers × {K,V} × block_tokens × hidden.
-  std::size_t payload_floats() const;
-  std::size_t block_bytes() const;
-  std::size_t token_bytes() const;
-};
-
 class PrefixCache;
 
 /// A pin on a cached block chain. While alive, the chain cannot be evicted
-/// and its payload planes stay valid. Created by PrefixCache::match() /
-/// insert(); released on destruction. The PrefixCache must outlive every
-/// lease it hands out.
+/// and its blocks stay live. Created by PrefixCache::match() / insert();
+/// released on destruction. The PrefixCache must outlive every lease it
+/// hands out.
 class PrefixLease {
  public:
   ~PrefixLease();
@@ -65,14 +51,16 @@ class PrefixLease {
   PrefixLease& operator=(const PrefixLease&) = delete;
 
   std::int64_t matched_tokens() const {
-    return static_cast<std::int64_t>(blocks_.size()) * block_tokens_;
+    return static_cast<std::int64_t>(blocks()) * pool_->block_tokens();
   }
-  std::size_t blocks() const { return blocks_.size(); }
+  std::size_t blocks() const { return ids_.size() / layers_; }
 
-  /// K (or V) plane of chain block `index` for `layer`:
-  /// [block_tokens × hidden] f32. nullptr in accounting-only mode.
-  const float* k_plane(std::size_t index, std::int64_t layer) const;
-  const float* v_plane(std::size_t index, std::int64_t layer) const;
+  /// Pool id of chain block `index` for `layer` (layer 0 in accounting
+  /// mode).
+  std::int64_t block(std::size_t index, std::int64_t layer) const {
+    return ids_[index * layers_ + static_cast<std::size_t>(layer)];
+  }
+  runtime::KVBlockPool& pool() const { return *pool_; }
 
  private:
   friend class PrefixCache;
@@ -80,43 +68,42 @@ class PrefixLease {
 
   PrefixCache* cache_ = nullptr;
   RadixTree::Node* node_ = nullptr;  ///< deepest pinned node
-  std::int64_t block_tokens_ = 0;
-  std::int64_t hidden_ = 0;
-  std::vector<std::int64_t> blocks_;       ///< chain, root-first
-  std::vector<const float*> payloads_;     ///< base payload per block
+  runtime::KVBlockPool* pool_ = nullptr;
+  std::size_t layers_ = 1;
+  std::vector<std::int64_t> ids_;  ///< chain root-first, layers_ per block
 };
 
 class PrefixCache {
  public:
-  /// `pool` (nullable) is charged per block; `metrics` (nullable) receives
-  /// the kvshare.* counters and gauges.
+  /// `blocks` (caller-owned, outliving the cache) supplies every cached
+  /// block; each radix node holds `layers` of them (1 in accounting mode).
+  /// `metrics` (nullable) receives the kvshare.* counters and gauges.
   ///
-  /// When a pool is given, the cache registers a pressure callback on it:
-  /// under allocation pressure (a watermark crossing or a would-fail
-  /// charge from *any* allocator sharing the pool) it evicts unpinned
-  /// chains to relieve the requested bytes before the pool fails the
-  /// allocation. The callback is removed in the destructor; the cache must
-  /// not be destroyed while other threads can still drive the pool into
-  /// pressure.
-  /// `integrity` (nullable, caller-owned) fingerprints each block at
-  /// insert-fill time and re-checks matched chains per its policy. A block
-  /// that fails verification is *quarantined*: its subtree is detached from
-  /// the radix tree so no new request can match it, the match is truncated
-  /// at the corrupt block, and existing leases keep reading their pinned
-  /// (still-referenced) payloads until the last pin drops, at which point
-  /// the blocks are freed.
-  PrefixCache(const PrefixCacheConfig& config, runtime::MemoryPool* pool,
+  /// When the block pool charges a MemoryPool, the cache registers a
+  /// pressure callback on it: under allocation pressure (a watermark
+  /// crossing or a would-fail charge from *any* allocator sharing the
+  /// pool) it evicts unpinned chains and reports the bytes that actually
+  /// came free — a block a live sequence still references frees nothing.
+  /// The callback is removed in the destructor; the cache must not be
+  /// destroyed while other threads can still drive the pool into pressure.
+  /// `integrity` (nullable, caller-owned) fingerprints each node's blocks
+  /// (in layer order) when it is inserted and re-checks matched chains per
+  /// its policy. A node that fails verification is *quarantined*: its
+  /// subtree is detached from the radix tree so no new request can match
+  /// it, the match is truncated at the corrupt node, and the subtree's
+  /// blocks stay referenced until the last pin on it drops.
+  PrefixCache(runtime::KVBlockPool& blocks, std::int64_t layers,
               telemetry::MetricsRegistry* metrics,
               integrity::ChecksumRegistry* integrity = nullptr);
   ~PrefixCache();
   PrefixCache(const PrefixCache&) = delete;
   PrefixCache& operator=(const PrefixCache&) = delete;
 
-  /// Fills a freshly allocated block: `token_offset` is the block's first
-  /// token position in the prompt, `payload` its float base (layout per
-  /// block_store.hpp). Null in accounting-only mode.
-  using BlockWriter =
-      std::function<void(std::int64_t token_offset, float* payload)>;
+  /// Per-layer pool ids of the blocks holding prompt tokens
+  /// [token_offset, token_offset + block_tokens) — a publishing sequence's
+  /// own blocks. Each id must hold exactly those tokens' rows.
+  using BlockSource =
+      std::function<std::vector<std::int64_t>(std::int64_t token_offset)>;
 
   /// Longest-prefix match. The matched length is a whole number of blocks,
   /// capped below tokens.size() so a fully cached prompt still prefills at
@@ -124,21 +111,25 @@ class PrefixCache {
   /// Records kvshare.hit_tokens / miss_tokens / bytes_saved.
   std::shared_ptr<PrefixLease> match(std::span<const std::int64_t> tokens);
 
-  /// Cache every whole block of `tokens`, filling only blocks not already
-  /// present. Under allocation pressure, evicts LRU leaves; if pressure
-  /// persists the chain is cut short (graceful degradation, never an
-  /// error). Returns a lease over the resulting chain, or nullptr when no
-  /// block could be cached.
+  /// Cache every whole block of `tokens` not already present. With a
+  /// `source`, a new node refs the source's blocks (no copy). Without one
+  /// it allocates fresh zeroed blocks, evicting LRU leaves under
+  /// allocation pressure; if pressure persists the chain is cut short
+  /// (graceful degradation, never an error). Returns a lease over the
+  /// resulting chain, or nullptr when no block could be cached.
   std::shared_ptr<PrefixLease> insert(std::span<const std::int64_t> tokens,
-                                      const BlockWriter& fill);
+                                      const BlockSource& source = nullptr);
 
   /// Evict up to `max_blocks` LRU leaves (pool-pressure relief, tests).
   /// Returns the number actually evicted.
   std::size_t evict(std::size_t max_blocks);
 
-  const PrefixCacheConfig& config() const { return config_; }
-  std::int64_t block_tokens() const { return config_.block_tokens; }
+  std::int64_t block_tokens() const { return blocks_.block_tokens(); }
+  /// Bytes of one cached block: block_tokens tokens across every layer.
+  std::size_t node_bytes() const { return node_bytes_; }
 
+  /// Cached blocks (radix nodes, quarantined ones included) and their
+  /// bytes. A block a live sequence also references counts here too.
   std::size_t blocks_in_use() const;
   std::size_t bytes_in_use() const;
   std::size_t node_count() const;
@@ -184,44 +175,72 @@ class PrefixCache {
   };
 
   void release(PrefixLease& lease);
-  std::int64_t allocate_with_eviction();
+  /// A free handle (radix-node block) with `layers_` unset pool ids.
+  std::int64_t new_handle_locked();
+  std::int64_t* node_blocks_locked(std::int64_t handle) {
+    return node_blocks_.data() + static_cast<std::size_t>(handle) * layers_;
+  }
+  std::size_t held_locked() const {
+    return node_blocks_.size() / layers_ - free_handles_.size();
+  }
+  /// One node's fresh blocks, evicting LRU leaves while the pool refuses;
+  /// -1 when everything left is pinned.
+  std::int64_t allocate_node_locked();
+  /// Drop the cache's references on one node's blocks and free its
+  /// handle; returns the bytes that came free.
+  std::size_t drop_node_locked(std::int64_t handle);
+  /// Evict LRU leaves until `max_blocks` went or `bytes_wanted` came free;
+  /// returns {evicted, bytes freed}.
+  std::pair<std::size_t, std::size_t> evict_measured(
+      std::size_t max_blocks, std::size_t bytes_wanted);
   std::shared_ptr<PrefixLease> make_lease(
       const std::vector<RadixTree::Node*>& chain);
   void update_gauges();
-  /// Inject/verify the matched chain's block payloads; on a detected
-  /// corruption truncates `chain` at the corrupt block and quarantines its
-  /// subtree. Materialized mode only.
+  /// One node's blocks in layer order as one span — the bytes its
+  /// fingerprint covers. Valid until the next call.
+  std::span<const float> gather_locked(std::int64_t handle);
+  /// Inject/verify the matched chain's blocks; on a detected corruption
+  /// truncates `chain` at the corrupt node and quarantines its subtree.
+  /// Materialized mode only.
   void verify_chain_locked(std::vector<RadixTree::Node*>& chain);
   void quarantine_locked(RadixTree::Node* node);
   /// Free quarantined subtrees whose last pin has dropped.
   void reap_quarantined_locked();
-  /// Pool pressure callback target: evict unpinned chains worth up to
-  /// `bytes_needed`; returns bytes released. No-op when called from a
-  /// thread already inside a cache operation.
+  /// Pool pressure callback target: evict unpinned chains until
+  /// `bytes_needed` came free or none is left; returns the bytes released.
+  /// No-op when called from a thread already inside a cache operation.
   std::size_t relieve_pressure(std::size_t bytes_needed);
 
   void count(const char* name, std::uint64_t n);
 
-  PrefixCacheConfig config_;
+  runtime::KVBlockPool& blocks_;
+  const std::size_t layers_;
+  const std::size_t node_bytes_;
   mutable std::mutex mutex_;
   mutable std::atomic<std::thread::id> lock_holder_{};
-  BlockStore store_;
   RadixTree tree_;
   runtime::MemoryPool* pool_ = nullptr;
   int pressure_callback_id_ = -1;
   std::size_t pinned_ = 0;
+  /// Pool ids of every node's blocks, `layers_` per handle; a handle is
+  /// what the radix tree stores as a node's block. A republished sequence
+  /// can put the same pool ids under a new node while a quarantined old
+  /// one still holds them, so everything per node is keyed by handle.
+  std::vector<std::int64_t> node_blocks_;
+  std::vector<std::int64_t> free_handles_;
   integrity::ChecksumRegistry* integrity_ = nullptr;
-  /// Per-block fingerprint and verification ordinal, recorded when the
-  /// block is filled at insert.
+  /// Per-node fingerprint and verification ordinal, recorded when the
+  /// node is cached.
   struct BlockPrint {
     std::uint32_t crc = 0;
     std::uint64_t loads = 0;
   };
   std::map<std::int64_t, BlockPrint> block_crcs_;
+  std::vector<float> scratch_;  ///< gather_locked output
   /// Detached-but-still-pinned subtrees awaiting their last release.
   struct Quarantined {
     std::unique_ptr<RadixTree::Node> subtree;
-    std::vector<std::int64_t> blocks;
+    std::vector<std::int64_t> blocks;  ///< node handles
   };
   std::vector<Quarantined> quarantined_;
   /// Looked up by name per operation (match/insert granularity), so a

@@ -95,16 +95,21 @@ std::unique_ptr<RadixTree::Node> RadixTree::detach(Node* node) {
   owned->parent = nullptr;
   // The whole subtree leaves the tree's accounting.
   std::size_t removed = 0;
-  std::vector<const Node*> stack{owned.get()};
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    ++removed;
-    for (const auto& [key, child] : n->children) stack.push_back(child.get());
-  }
+  visit(*owned, [&removed](const Node&) { ++removed; });
   LMO_CHECK_GE(node_count_, removed);
   node_count_ -= removed;
   return owned;
+}
+
+void RadixTree::visit(const Node& node,
+                      const std::function<void(const Node&)>& fn) {
+  std::vector<const Node*> stack{&node};
+  while (!stack.empty()) {
+    const Node* n = stack.back();
+    stack.pop_back();
+    fn(*n);
+    for (const auto& [key, child] : n->children) stack.push_back(child.get());
+  }
 }
 
 std::int64_t RadixTree::evict_lru() {

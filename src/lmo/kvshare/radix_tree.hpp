@@ -1,7 +1,8 @@
 // Radix tree over token-id sequences at block granularity (the
-// RadixAttention structure, aligned to the block store's fixed block size).
-// Every node spans exactly `block_tokens` token ids and owns one block in
-// the BlockStore; a root→node path spells out a cached prompt prefix.
+// RadixAttention structure, aligned to the KV block pool's fixed block
+// size). Every node spans exactly `block_tokens` token ids and carries one
+// opaque block handle (PrefixCache maps it to a pool block per layer); a
+// root→node path spells out a cached prompt prefix.
 // Children are keyed by their full token span, so two blocks that share a
 // first token but diverge later are distinct children — lookup compares
 // whole spans, which keeps matches exact.
@@ -28,7 +29,7 @@ class RadixTree {
  public:
   struct Node {
     std::vector<std::int64_t> tokens;  ///< exactly block_tokens ids
-    std::int64_t block = -1;           ///< BlockStore id
+    std::int64_t block = -1;           ///< PrefixCache block handle
     Node* parent = nullptr;
     std::map<std::vector<std::int64_t>, std::unique_ptr<Node>> children;
     int pins = 0;
@@ -46,7 +47,7 @@ class RadixTree {
 
   /// Extend the tree to cover every whole block of `tokens`. `make_block`
   /// is invoked once per missing node with the block's token offset and
-  /// returns a BlockStore id, or -1 to stop growing (allocation pressure).
+  /// returns a block handle, or -1 to stop growing (allocation pressure).
   /// Returns the chain actually present afterwards, root-first.
   std::vector<Node*> insert(
       std::span<const std::int64_t> tokens,
@@ -59,7 +60,7 @@ class RadixTree {
   void unpin(Node* node);
 
   /// Evict the least-recently-used childless unpinned node. Returns its
-  /// block id, or -1 when every node is pinned or covered by children.
+  /// block handle, or -1 when every node is pinned or covered by children.
   std::int64_t evict_lru();
 
   /// Detach `node` and its whole subtree from the tree, transferring
@@ -70,6 +71,11 @@ class RadixTree {
   std::unique_ptr<Node> detach(Node* node);
 
   std::size_t node_count() const { return node_count_; }
+  const Node& root() const { return root_; }
+
+  /// Call `fn` on `node` and every node below it.
+  static void visit(const Node& node,
+                    const std::function<void(const Node&)>& fn);
 
  private:
   std::int64_t block_tokens_;

@@ -160,13 +160,6 @@ void WalManifest::record_epoch(std::uint64_t epoch) {
   append_locked(body.buffer(), /*sync=*/true);
 }
 
-void WalManifest::barrier() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& injector = util::FaultInjector::instance();
-  injector.maybe_crash(kJournalFsyncSite);
-  fsync_fd(fd_, path_);
-}
-
 WalReplayResult replay_wal(const std::string& path,
                            telemetry::MetricsRegistry* metrics) {
   telemetry::ScopedSpan span(telemetry::TraceRecorder::global(),

@@ -75,8 +75,6 @@ class WalManifest final : public store::BlockJournal {
 
   /// RecoveryManager checkpoint boundary; barrier.
   void record_epoch(std::uint64_t epoch);
-  /// Explicit fsync barrier.
-  void barrier();
 
   const std::string& path() const { return path_; }
 

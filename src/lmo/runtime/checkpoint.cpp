@@ -6,7 +6,6 @@
 
 #include "lmo/ckpt/format.hpp"
 #include "lmo/ckpt/tensor_codec.hpp"
-#include "lmo/kvshare/shared_kv_cache.hpp"
 #include "lmo/runtime/kv_factory.hpp"
 #include "lmo/runtime/window_kv.hpp"
 #include "lmo/telemetry/trace.hpp"
@@ -36,6 +35,7 @@ std::vector<std::int64_t> decode_i64_vec(ckpt::ByteReader& reader) {
 constexpr std::uint8_t kDenseTag = 1;
 constexpr std::uint8_t kPagedTag = 2;
 constexpr std::uint8_t kWindowTag = 3;
+/// Written by earlier builds for prefix-shared sequences; read-only now.
 constexpr std::uint8_t kSharedTag = 4;
 
 void encode_dense(ckpt::ByteWriter& writer, const KVCache& cache) {
@@ -109,29 +109,31 @@ void encode_paged(ckpt::ByteWriter& writer, const PagedKVCache& cache) {
   writer.u8(kPagedTag);
   writer.i64(cache.length());
   if (cache.length() > 0) {
-    // Gathered [length, hidden] matrices; the page structure is a pure
+    // Gathered [length, hidden] matrices; the block structure is a pure
     // function of length so re-appending on restore rebuilds the same
-    // block table.
+    // block table (with private blocks: sharing does not survive a
+    // restart).
     writer.f32_array(cache.keys().f32());
     writer.f32_array(cache.values().f32());
   }
 }
 
+/// Rebuild `length` gathered [length, hidden] K/V rows as a private paged
+/// cache.
 std::unique_ptr<KVCacheBase> decode_paged(ckpt::ByteReader& reader,
-                                          const KVRestoreContext& context) {
-  LMO_CHECK_MSG(context.page_pool != nullptr,
-                "paged KV restore needs a page pool");
-  const std::int64_t length = reader.i64();
-  KvCacheSpec spec;
-  spec.num_layers = 1;
-  spec.page_pool = context.page_pool;
-  auto owned = MakeLayerKvCache(KVFlavor::kPaged, spec);
-  auto* cache = static_cast<PagedKVCache*>(owned.get());
+                                          const KVRestoreContext& context,
+                                          std::int64_t length) {
+  LMO_CHECK_MSG(context.block_pool != nullptr,
+                "paged KV restore needs a block pool");
   if (length < 0) {
     throw util::CheckpointCorrupt("paged KV checkpoint has negative length");
   }
+  KvCacheSpec spec;
+  spec.num_layers = 1;
+  spec.block_pool = context.block_pool;
+  auto owned = MakeLayerKvCache(KVFlavor::kPaged, spec);
   if (length == 0) return owned;
-  const std::int64_t hidden = context.page_pool->hidden();
+  const std::int64_t hidden = context.block_pool->hidden();
   const std::vector<float> k = reader.f32_array();
   const std::vector<float> v = reader.f32_array();
   const std::size_t expected =
@@ -147,7 +149,7 @@ std::unique_ptr<KVCacheBase> decode_paged(ckpt::ByteReader& reader,
       return tensor::Tensor::from_values(
           {hidden}, std::vector<float>(base, base + hidden));
     };
-    cache->append(row(k), row(v));
+    owned->append(row(k), row(v));
   }
   return owned;
 }
@@ -191,53 +193,6 @@ std::unique_ptr<KVCacheBase> decode_window(ckpt::ByteReader& reader,
         std::string("window KV checkpoint is inconsistent: ") + e.what());
   }
   return base;
-}
-
-void encode_shared(ckpt::ByteWriter& writer,
-                   const kvshare::SharedKVCache& cache) {
-  // Materialize the full chain: shared blocks belong to the prefix cache
-  // of the process being snapshot, so the checkpoint carries the gathered
-  // rows verbatim (bit-exact f32) and restores a detached, private-only
-  // cache — lossless, and independent of what the resuming process has in
-  // its own radix tree.
-  writer.u8(kSharedTag);
-  writer.i64(cache.hidden());
-  writer.i64(cache.length());
-  if (cache.length() > 0) {
-    writer.f32_array(cache.keys().f32());
-    writer.f32_array(cache.values().f32());
-  }
-}
-
-std::unique_ptr<KVCacheBase> decode_shared(ckpt::ByteReader& reader,
-                                           const KVRestoreContext& context) {
-  LMO_CHECK_MSG(context.pool != nullptr,
-                "shared KV restore needs a memory pool");
-  const std::int64_t hidden = reader.i64();
-  const std::int64_t length = reader.i64();
-  if (hidden <= 0 || length < 0) {
-    throw util::CheckpointCorrupt("shared KV checkpoint has invalid geometry");
-  }
-  auto cache = std::make_unique<kvshare::SharedKVCache>(hidden, *context.pool);
-  if (length == 0) return cache;
-  const std::vector<float> k = reader.f32_array();
-  const std::vector<float> v = reader.f32_array();
-  const std::size_t expected =
-      static_cast<std::size_t>(length) * static_cast<std::size_t>(hidden);
-  if (k.size() != expected || v.size() != expected) {
-    throw util::CheckpointCorrupt(
-        "shared KV checkpoint payload does not match length " +
-        std::to_string(length) + " x hidden " + std::to_string(hidden));
-  }
-  for (std::int64_t t = 0; t < length; ++t) {
-    const auto row = [&](const std::vector<float>& src) {
-      const auto* base = src.data() + t * hidden;
-      return tensor::Tensor::from_values(
-          {hidden}, std::vector<float>(base, base + hidden));
-    };
-    cache->append(row(k), row(v));
-  }
-  return cache;
 }
 
 void encode_fault_states(ckpt::ByteWriter& writer) {
@@ -311,7 +266,8 @@ void encode_runtime_config(ckpt::ByteWriter& writer,
   writer.u64(config.disk_capacity);
   writer.u64(config.spill_block_bytes);
   writer.u8(static_cast<std::uint8_t>(config.kv_flavor));
-  writer.i64(config.page_tokens);
+  // The former page-size slot: one block size serves paging and sharing.
+  writer.i64(config.kv_block_tokens);
   writer.i64(config.window_tokens);
   writer.u8(config.prefix_share ? 1 : 0);
   writer.i64(config.kv_block_tokens);
@@ -360,11 +316,15 @@ RuntimeConfig decode_runtime_config(ckpt::ByteReader& reader) {
                                   std::to_string(flavor));
   }
   config.kv_flavor = static_cast<KVFlavor>(flavor);
-  config.paged_kv = config.kv_flavor == KVFlavor::kPaged;
-  config.page_tokens = reader.i64();
+  const std::int64_t page_tokens = reader.i64();
   config.window_tokens = reader.i64();
   config.prefix_share = reader.u8() != 0;
   config.kv_block_tokens = reader.i64();
+  // Earlier builds kept a separate page size, which was the block size of
+  // a paged session that did not share prefixes.
+  if (config.kv_flavor == KVFlavor::kPaged && !config.prefix_share) {
+    config.kv_block_tokens = page_tokens;
+  }
   config.prefetch_threads = static_cast<int>(reader.i64());
   config.recovery.max_transfer_attempts = static_cast<int>(reader.i64());
   config.recovery.retry_backoff_seconds = reader.f64();
@@ -397,7 +357,6 @@ bool runtime_config_equal(const RuntimeConfig& a, const RuntimeConfig& b) {
          a.disk_capacity == b.disk_capacity &&
          a.spill_block_bytes == b.spill_block_bytes &&
          a.kv_flavor == b.kv_flavor &&
-         a.page_tokens == b.page_tokens &&
          a.window_tokens == b.window_tokens &&
          a.prefix_share == b.prefix_share &&
          a.kv_block_tokens == b.kv_block_tokens &&
@@ -424,9 +383,6 @@ void encode_kv_cache(ckpt::ByteWriter& writer, const KVCacheBase& cache) {
   } else if (const auto* window =
                  dynamic_cast<const WindowKVCache*>(&cache)) {
     encode_window(writer, *window);
-  } else if (const auto* shared =
-                 dynamic_cast<const kvshare::SharedKVCache*>(&cache)) {
-    encode_shared(writer, *shared);
   } else {
     LMO_UNREACHABLE("unknown KV cache flavor in checkpoint encoder");
   }
@@ -439,11 +395,15 @@ std::unique_ptr<KVCacheBase> decode_kv_cache(ckpt::ByteReader& reader,
     case kDenseTag:
       return decode_dense(reader, context);
     case kPagedTag:
-      return decode_paged(reader, context);
+      return decode_paged(reader, context, reader.i64());
     case kWindowTag:
       return decode_window(reader, context);
     case kSharedTag:
-      return decode_shared(reader, context);
+      // A paged record behind the writer's hidden width, which the
+      // payload-size check covers. The whole chain was materialized, so
+      // the restore is private.
+      reader.i64();
+      return decode_paged(reader, context, reader.i64());
     default:
       throw util::CheckpointCorrupt("unknown KV cache flavor tag " +
                                     std::to_string(tag));
@@ -557,7 +517,7 @@ void Generator::resume(const std::string& path) {
 
   KVRestoreContext context;
   context.pool = host_pool_.get();
-  context.page_pool = page_pool_.get();
+  context.block_pool = kv_blocks_.get();
   context.integrity =
       config_.integrity.enabled() ? integrity_.get() : nullptr;
   for (std::uint64_t s = 0; s < num_sequences; ++s) {

@@ -40,13 +40,13 @@ RuntimeConfig decode_runtime_config(ckpt::ByteReader& reader);
 bool runtime_config_equal(const RuntimeConfig& a, const RuntimeConfig& b);
 
 /// Pools a KV-cache decode allocates from: `pool` backs dense and window
-/// caches, `page_pool` backs paged caches. Only the member matching the
-/// encoded flavor is touched. When `integrity` is set, restored dense
+/// caches, `block_pool` backs paged caches (prefix-shared sequences
+/// included). Only the member matching the encoded flavor is touched. When `integrity` is set, restored dense
 /// caches are attached to it (label `kv_region`) and re-fingerprint their
 /// rows, so verification continues seamlessly across a resume.
 struct KVRestoreContext {
   MemoryPool* pool = nullptr;
-  PagePool* page_pool = nullptr;
+  KVBlockPool* block_pool = nullptr;
   integrity::ChecksumRegistry* integrity = nullptr;
   std::string kv_region;
 };
@@ -54,8 +54,10 @@ struct KVRestoreContext {
 /// Serialize one KV cache, dispatching on its dynamic flavor. Dense caches
 /// store their rows verbatim (quantized payloads bit-exact); window caches
 /// store the raw rings plus cursors; paged caches store the gathered K/V
-/// matrices (page structure is a function of length, so re-appending
-/// reproduces it exactly).
+/// matrices and restore into private blocks (block structure is a function
+/// of length, so re-appending reproduces it exactly). The decoder still
+/// reads the shared-cache records (kSharedTag) of files written before
+/// prefix-shared sequences became paged caches.
 void encode_kv_cache(ckpt::ByteWriter& writer, const KVCacheBase& cache);
 std::unique_ptr<KVCacheBase> decode_kv_cache(ckpt::ByteReader& reader,
                                              const KVRestoreContext& context);

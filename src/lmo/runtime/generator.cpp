@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "lmo/kvshare/prefix_cache.hpp"
-#include "lmo/kvshare/shared_kv_cache.hpp"
 #include "lmo/model/memory.hpp"
 #include "lmo/parallel/bundling.hpp"
 #include "lmo/perfmodel/policy.hpp"
@@ -117,8 +116,6 @@ void RuntimeConfig::validate() const {
   recovery.validate();
   adaptive.validate();
   integrity.validate();
-  // Note: callers passing the legacy paged_kv bool are validated after the
-  // Generator constructor canonicalizes it into kv_flavor.
   util::Validate("RuntimeConfig", [this](util::Validator& v) {
     v.ge("device_layers", device_layers, 0)
         .le("device_layers", device_layers, spec.num_layers);
@@ -139,7 +136,6 @@ void RuntimeConfig::validate() const {
     v.gt("quant_group", quant_group, 0);
     v.gt("device_capacity", device_capacity, 0);
     v.gt("host_capacity", host_capacity, 0);
-    v.gt("page_tokens", page_tokens, 0);
     v.gt("window_tokens", window_tokens, 0);
     v.gt("kv_block_tokens", kv_block_tokens, 0);
     v.ge("prefetch_threads", prefetch_threads, 0);
@@ -153,8 +149,8 @@ void RuntimeConfig::validate() const {
                 "window KV rings store f32 rows; kv_bits must be 16");
     }
     if (prefix_share) {
-      v.require("kv_flavor", kv_flavor == KVFlavor::kDense,
-                "prefix sharing layers over the dense KV backend");
+      v.require("kv_flavor", kv_flavor != KVFlavor::kWindow,
+                "prefix sharing needs a block table; a window ring has none");
       v.require("kv_bits", kv_bits == 16,
                 "shared KV blocks store f32 rows; kv_bits must be 16");
     }
@@ -177,10 +173,6 @@ Generator::Generator(const RuntimeConfig& config)
 Generator::Generator(const RuntimeConfig& config,
                      SpillStoreFactory spill_factory)
     : config_(config), sampling_rng_(config.sampling.seed) {
-  // Canonicalize the legacy paged_kv bool and the flavor enum so the rest
-  // of the runtime (and the checkpoint fingerprint) sees one field.
-  if (config_.paged_kv) config_.kv_flavor = KVFlavor::kPaged;
-  config_.paged_kv = config_.kv_flavor == KVFlavor::kPaged;
   config_.validate();
   device_pool_ =
       std::make_unique<MemoryPool>("device", config.device_capacity);
@@ -235,17 +227,16 @@ Generator::Generator(const RuntimeConfig& config,
         std::make_unique<parallel::ThreadPool>(config.compute_threads);
     transformer_->set_compute_pool(compute_pool_.get());
   }
-  if (config_.kv_flavor == KVFlavor::kPaged) {
-    page_pool_ = std::make_unique<PagePool>(config_.spec.hidden,
-                                            config_.page_tokens, *host_pool_);
+  if (config_.kv_flavor == KVFlavor::kPaged || config_.prefix_share) {
+    KVBlockPoolConfig blocks;
+    blocks.block_tokens = config_.kv_block_tokens;
+    blocks.hidden = config_.spec.hidden;
+    kv_blocks_ = std::make_unique<KVBlockPool>(blocks, host_pool_.get());
   }
   if (config_.prefix_share) {
-    kvshare::PrefixCacheConfig pc;
-    pc.block_tokens = config_.kv_block_tokens;
-    pc.hidden = config_.spec.hidden;
-    pc.num_layers = config_.spec.num_layers;
     prefix_cache_ = std::make_unique<kvshare::PrefixCache>(
-        pc, host_pool_.get(), &manager_->metrics(), integrity_.get());
+        *kv_blocks_, config_.spec.num_layers, &manager_->metrics(),
+        integrity_.get());
   }
   if (spill_store_ != nullptr) {
     // Host-pressure relief, registered after the prefix cache so the
@@ -274,8 +265,11 @@ SequenceCache Generator::make_sequence_cache() {
   kv.quant_group = config_.quant_group;
   kv.window_tokens = config_.window_tokens;
   kv.pool = host_pool_.get();
-  kv.page_pool = page_pool_.get();
-  SequenceCache cache = MakeKvCache(config_.kv_flavor, kv);
+  kv.block_pool = kv_blocks_.get();
+  // Prefix sharing hands blocks between sequences and the cache, so every
+  // sequence keeps a block table.
+  SequenceCache cache = MakeKvCache(
+      config_.prefix_share ? KVFlavor::kPaged : config_.kv_flavor, kv);
   if (config_.integrity.enabled()) {
     // Only the dense backend stores rows at rest (possibly quantized);
     // paged/window caches hold live f32 rings the integrity layer does not
@@ -285,24 +279,6 @@ SequenceCache Generator::make_sequence_cache() {
         dense->set_integrity(integrity_.get(),
                              "kv.layer" + std::to_string(layer));
       }
-    }
-  }
-  return cache;
-}
-
-SequenceCache Generator::make_shared_sequence_cache(
-    const std::vector<std::int64_t>& prompt, std::int64_t& matched_out) {
-  auto lease = prefix_cache_->match(prompt);
-  matched_out = lease == nullptr ? 0 : lease->matched_tokens();
-  SequenceCache cache;
-  cache.reserve(static_cast<std::size_t>(config_.spec.num_layers));
-  for (std::int64_t layer = 0; layer < config_.spec.num_layers; ++layer) {
-    if (lease != nullptr) {
-      cache.push_back(std::make_unique<kvshare::SharedKVCache>(
-          config_.spec.hidden, layer, lease, matched_out, *host_pool_));
-    } else {
-      cache.push_back(std::make_unique<kvshare::SharedKVCache>(
-          config_.spec.hidden, *host_pool_));
     }
   }
   return cache;
@@ -318,13 +294,24 @@ void Generator::build_session_caches(Session& session,
   session.caches.reserve(session.prompts.size());
   for (std::size_t s = 0; s < session.prompts.size(); ++s) {
     LMO_CHECK(!session.prompts[s].empty());
+    std::shared_ptr<kvshare::PrefixLease> lease;
     if (prefix_cache_ != nullptr) {
       telemetry::ScopedSpan match_span(trace, "prefix_match", "kvshare");
-      session.caches.push_back(
-          make_shared_sequence_cache(session.prompts[s], matched[s]));
-    } else {
-      session.caches.push_back(make_sequence_cache());
+      lease = prefix_cache_->match(session.prompts[s]);
     }
+    if (lease == nullptr) {
+      session.caches.push_back(make_sequence_cache());
+      continue;
+    }
+    // Start every layer from the matched chain's blocks; the lease keeps
+    // the chain pinned for as long as the session uses it.
+    matched[s] = lease->matched_tokens();
+    SequenceCache cache;
+    for (std::int64_t layer = 0; layer < config_.spec.num_layers; ++layer) {
+      cache.push_back(std::make_unique<PagedKVCache>(*lease, layer));
+    }
+    session.caches.push_back(std::move(cache));
+    session.leases.push_back(std::move(lease));
   }
   for (auto& c : session.caches) session.cache_ptrs.push_back(&c);
 }
@@ -366,23 +353,15 @@ void Generator::repair_session_caches() {
 
 std::shared_ptr<kvshare::PrefixLease> Generator::publish_prefix(
     const std::vector<std::int64_t>& prompt, const SequenceCache& cache) {
-  const std::int64_t bt = config_.kv_block_tokens;
-  const std::int64_t hidden = config_.spec.hidden;
-  return prefix_cache_->insert(
-      prompt, [&](std::int64_t token_offset, float* payload) {
-        for (std::int64_t layer = 0; layer < config_.spec.num_layers;
-             ++layer) {
-          const auto* shared = dynamic_cast<const kvshare::SharedKVCache*>(
-              cache[static_cast<std::size_t>(layer)].get());
-          LMO_CHECK(shared != nullptr);
-          for (std::int64_t slot = 0; slot < bt; ++slot) {
-            float* k_dst = payload + ((layer * 2 + 0) * bt + slot) * hidden;
-            float* v_dst = payload + ((layer * 2 + 1) * bt + slot) * hidden;
-            shared->copy_row(true, token_offset + slot, k_dst);
-            shared->copy_row(false, token_offset + slot, v_dst);
-          }
-        }
-      });
+  return prefix_cache_->insert(prompt, [&](std::int64_t token_offset) {
+    std::vector<std::int64_t> blocks;
+    for (const auto& layer : cache) {
+      blocks.push_back(static_cast<const PagedKVCache&>(*layer).block_table()
+                           [static_cast<std::size_t>(
+                               token_offset / config_.kv_block_tokens)]);
+    }
+    return blocks;
+  });
 }
 
 void Generator::start_adaptive(std::size_t batch, std::int64_t prompt_len,
@@ -673,14 +652,13 @@ GenerationResult Generator::finish() {
         result.kv_stored_bytes += flat->stored_bytes();
       } else if (const auto* paged =
                      dynamic_cast<const PagedKVCache*>(layer_cache.get())) {
-        result.kv_stored_bytes +=
-            paged->block_table().size() * page_pool_->page_bytes();
-      } else if (const auto* shared =
-                     dynamic_cast<const kvshare::SharedKVCache*>(
-                         layer_cache.get())) {
-        // Shared-chain bytes are owned by the prefix cache, not this
-        // session; only the private tail counts against the sequence.
-        result.kv_stored_bytes += shared->stored_bytes();
+        // Blocks the prefix cache also holds are the cache's; only what
+        // this sequence alone keeps resident counts against it.
+        for (const std::int64_t id : paged->block_table()) {
+          if (kv_blocks_->refcount(id) == 1) {
+            result.kv_stored_bytes += kv_blocks_->block_bytes();
+          }
+        }
       } else if (const auto* window = dynamic_cast<const WindowKVCache*>(
                      layer_cache.get())) {
         result.kv_stored_bytes += 2 *

@@ -69,17 +69,17 @@ struct RuntimeConfig {
   /// KV backend. kPaged and kWindow store f32 rows and require
   /// kv_bits == 16.
   KVFlavor kv_flavor = KVFlavor::kDense;
-  /// Legacy spelling of kv_flavor == kPaged; when set it wins over
-  /// kv_flavor (the Generator constructor canonicalizes both fields).
-  bool paged_kv = false;
-  std::int64_t page_tokens = 16;    ///< token slots per page (kPaged)
   std::int64_t window_tokens = 32;  ///< ring capacity in tokens (kWindow)
   /// Cross-request KV prefix sharing (kvshare subsystem): sessions match
   /// their prompts against a radix tree of cached KV blocks and prefill
-  /// only the unmatched suffix. Requires kv_flavor == kDense and
-  /// kv_bits == 16 (cached rows are f32, so reuse is bit-exact).
+  /// only the unmatched suffix. Sequences then keep their KV in paged
+  /// block tables over the pool the cache shares, with kv_flavor kDense or
+  /// kPaged alike; requires kv_bits == 16 (cached rows are f32, so reuse
+  /// is bit-exact) and rejects kWindow.
   bool prefix_share = false;
-  std::int64_t kv_block_tokens = 16;  ///< tokens per shared KV block
+  /// Tokens per KV block: the kPaged block-table granularity and the
+  /// prefix cache's sharing unit.
+  std::int64_t kv_block_tokens = 16;
   int prefetch_threads = 2;  ///< 0 disables async weight prefetch
   /// Transfer-retry / watchdog / degradation knobs (see OffloadManager).
   RecoveryConfig recovery;
@@ -221,7 +221,7 @@ class Generator {
     std::vector<SequenceCache> caches;
     std::vector<SequenceCache*> cache_ptrs;
     /// Pins on the prefix-cache chains this session published or matched;
-    /// released (not copied) when the session ends or is swapped out.
+    /// released when the session ends or its caches are rebuilt.
     std::vector<std::shared_ptr<kvshare::PrefixLease>> leases;
   };
 
@@ -238,10 +238,6 @@ class Generator {
   void stop_adaptive();
 
   SequenceCache make_sequence_cache();
-  /// Prefix-share path: match `prompt`, build SharedKVCache layers over the
-  /// lease, and report how many leading tokens prefill may skip.
-  SequenceCache make_shared_sequence_cache(
-      const std::vector<std::int64_t>& prompt, std::int64_t& matched_out);
   /// (Re)create every sequence cache for `session` from scratch, matching
   /// prompts against the prefix cache when sharing is on. `matched` is
   /// resized to one skip count per prompt. Used by begin() and by the
@@ -257,7 +253,8 @@ class Generator {
   /// Sample each sequence's next token from its row of `logits`
   /// ([B, vocab]) and append it to the session.
   void sample_next(const tensor::Tensor& logits, Session& session);
-  /// Publish a finished prefill's prompt KV rows into the prefix cache.
+  /// Publish a finished prefill's full prompt blocks into the prefix
+  /// cache: the cache refs the sequence's own blocks, copying no rows.
   std::shared_ptr<kvshare::PrefixLease> publish_prefix(
       const std::vector<std::int64_t>& prompt, const SequenceCache& cache);
 
@@ -278,7 +275,9 @@ class Generator {
   std::unique_ptr<Transformer> transformer_;
   std::unique_ptr<parallel::ThreadPool> prefetch_pool_;
   std::unique_ptr<parallel::ThreadPool> compute_pool_;
-  std::unique_ptr<PagePool> page_pool_;  ///< when kv_flavor == kPaged
+  /// Blocks of every paged sequence cache and of the prefix cache; set
+  /// when kv_flavor == kPaged or prefix_share. Outlives both.
+  std::unique_ptr<KVBlockPool> kv_blocks_;
   /// Outlives session_ (declared first): sessions hold leases into it.
   std::unique_ptr<kvshare::PrefixCache> prefix_cache_;
   std::unique_ptr<Session> session_;

@@ -50,7 +50,9 @@ class KVCacheBase {
   /// Roll the cache back to `new_length` tokens (speculative-decoding
   /// rejection, beam pruning). new_length ≤ length().
   virtual void truncate(std::int64_t new_length) = 0;
-  /// Deep copy (beam forking). The copy charges its own pool bytes.
+  /// Independent copy (beam forking): later writes to either side never
+  /// show in the other. Dense and window copies charge their own pool
+  /// bytes; a paged copy shares blocks until one side writes.
   virtual std::unique_ptr<KVCacheBase> clone() const = 0;
 
   /// Copies of the K (or V) plane as a [length, hidden] matrix, built on

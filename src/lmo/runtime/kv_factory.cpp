@@ -38,8 +38,8 @@ std::unique_ptr<KVCacheBase> MakeLayerKvCache(KVFlavor flavor,
       return std::make_unique<KVCache>(spec.hidden, spec.kv_bits,
                                        spec.quant_group, *spec.pool);
     case KVFlavor::kPaged:
-      LMO_CHECK_MSG(spec.page_pool != nullptr, "paged KV needs a page pool");
-      return std::make_unique<PagedKVCache>(*spec.page_pool);
+      LMO_CHECK_MSG(spec.block_pool != nullptr, "paged KV needs a block pool");
+      return std::make_unique<PagedKVCache>(*spec.block_pool);
     case KVFlavor::kWindow:
       LMO_CHECK_MSG(spec.pool != nullptr, "window KV needs a memory pool");
       LMO_CHECK_GT(spec.hidden, 0);

@@ -16,7 +16,7 @@
 
 namespace lmo::runtime {
 
-class PagePool;
+class KVBlockPool;
 
 /// All KV caches for one sequence (one per layer), backend-polymorphic.
 using SequenceCache = std::vector<std::unique_ptr<KVCacheBase>>;
@@ -24,7 +24,7 @@ using SequenceCache = std::vector<std::unique_ptr<KVCacheBase>>;
 /// Which KV-cache backend to build per sequence.
 enum class KVFlavor : std::uint8_t {
   kDense = 0,   ///< contiguous KVCache, optionally quantized at rest
-  kPaged = 1,   ///< vLLM-style PagedKVCache over a shared PagePool
+  kPaged = 1,   ///< vLLM-style PagedKVCache over a shared KVBlockPool
   kWindow = 2,  ///< sliding-window ring (WindowKVCache)
 };
 
@@ -35,8 +35,9 @@ const char* to_string(KVFlavor flavor);
 KVFlavor kv_flavor_from_string(const std::string& name);
 
 /// Everything backend construction can need. Flavors read only their own
-/// fields: dense uses kv_bits/quant_group/pool, paged uses page_pool,
-/// window uses window_tokens/pool.
+/// fields: dense uses kv_bits/quant_group/pool, paged uses block_pool
+/// (whose blocks also back the prefix cache), window uses
+/// window_tokens/pool.
 struct KvCacheSpec {
   std::int64_t hidden = 0;
   std::int64_t num_layers = 0;
@@ -44,11 +45,11 @@ struct KvCacheSpec {
   std::int64_t quant_group = 32;
   std::int64_t window_tokens = 32;
   MemoryPool* pool = nullptr;        ///< dense / window storage
-  PagePool* page_pool = nullptr;     ///< paged storage
+  KVBlockPool* block_pool = nullptr; ///< paged storage
 };
 
 /// Build one layer's cache. Throws CheckError when the spec lacks the
-/// fields the flavor needs (e.g. kPaged without a page_pool).
+/// fields the flavor needs (e.g. kPaged without a block_pool).
 std::unique_ptr<KVCacheBase> MakeLayerKvCache(KVFlavor flavor,
                                               const KvCacheSpec& spec);
 

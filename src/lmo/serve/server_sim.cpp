@@ -346,19 +346,22 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
   // Accounting-only prefix cache: blocks carry modelled bytes, no floats.
   // Charged per token with the same volume kv_swap_seconds moves, so hit
   // savings and swap savings are in one currency. With overload on, the
-  // shared block store charges the KV pool too — and registers the
+  // block pool charges the KV pool too — and the cache registers the
   // pressure callback that evicts unpinned chains before a charge fails.
   const std::size_t kv_token_bytes =
       runtime::kv_bytes_per_token(spec.hidden, policy.kv_bits);
+  std::unique_ptr<runtime::KVBlockPool> prefix_blocks;
   std::unique_ptr<kvshare::PrefixCache> prefix_cache;
   if (config.prefix_share) {
-    kvshare::PrefixCacheConfig pc;
-    pc.block_tokens = config.kv_block_tokens;
-    pc.materialize = false;
-    pc.bytes_per_token = std::max<std::size_t>(1, kv_token_bytes);
-    pc.capacity_bytes = config.prefix_cache_bytes;
+    runtime::KVBlockPoolConfig blocks;
+    blocks.block_tokens = config.kv_block_tokens;
+    blocks.bytes_per_block = std::max<std::size_t>(1, kv_token_bytes) *
+                             static_cast<std::size_t>(config.kv_block_tokens);
+    blocks.capacity_bytes = config.prefix_cache_bytes;
+    prefix_blocks =
+        std::make_unique<runtime::KVBlockPool>(blocks, kv_pool.get());
     prefix_cache =
-        std::make_unique<kvshare::PrefixCache>(pc, kv_pool.get(), &reg);
+        std::make_unique<kvshare::PrefixCache>(*prefix_blocks, 1, &reg);
   }
 
   // Per-session KV accounting against the modelled pool. The pool is only

@@ -164,13 +164,6 @@ std::size_t BlockStore::release_unclaimed() {
   return sweep.size();
 }
 
-std::optional<BlockHandle> BlockStore::lookup(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = keyed_.find(key);
-  if (it == keyed_.end()) return std::nullopt;
-  return it->second.handle;
-}
-
 void BlockStore::write_block_checked(std::uint32_t index,
                                      std::span<const std::byte> block,
                                      std::uint32_t crc) {

@@ -159,9 +159,6 @@ class BlockStore {
   /// entries were swept; after this, blocks_in_use() counts live data only.
   std::size_t release_unclaimed();
 
-  /// Committed handle for `key`, if one exists (recovered or written).
-  std::optional<BlockHandle> lookup(const std::string& key) const;
-
   const StoreConfig& config() const { return config_; }
   const StorageBackend& backend() const { return *backend_; }
 

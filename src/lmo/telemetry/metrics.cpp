@@ -91,11 +91,6 @@ double Histogram::percentile(double q) const {
   return telemetry::percentile(samples_, q);
 }
 
-std::vector<double> Histogram::samples() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return samples_;
-}
-
 const MetricSample* MetricsSnapshot::find(const std::string& name) const {
   for (const MetricSample& s : samples) {
     if (s.name == name) return &s;
@@ -198,11 +193,6 @@ std::string sanitize_component(const std::string& label) {
   }
   if (out.empty()) out = "_";
   return out;
-}
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
 }
 
 MetricsRegistry::Slot& MetricsRegistry::slot(const std::string& name,

@@ -9,8 +9,7 @@
 // consistent name-sorted copies exportable as JSON or plaintext.
 //
 // Components own their registry (an OffloadManager's counters must not mix
-// with a second manager's in the same process); MetricsRegistry::global()
-// exists for process-wide one-offs. Legacy stats structs (OffloadStats,
+// with a second manager's in the same process). Legacy stats structs (OffloadStats,
 // ServeMetrics) are materialized *views* of a registry — the registry is
 // the single source of truth, the structs are compatibility snapshots.
 #pragma once
@@ -68,7 +67,6 @@ class Histogram {
   double max() const;  ///< NaN when empty
   /// telemetry::percentile over the retained samples; NaN when empty.
   double percentile(double q) const;
-  std::vector<double> samples() const;
 
  private:
   mutable std::mutex mutex_;
@@ -115,9 +113,6 @@ class MetricsRegistry {
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// Process-wide registry for code without a natural owner.
-  static MetricsRegistry& global();
 
   /// Find-or-create. References stay valid for the registry's lifetime.
   /// Throws CheckError on an ill-formed name or if `name` already exists

@@ -47,8 +47,6 @@ class SampleSet {
   double min() const;
   double max() const;
 
-  const std::vector<double>& samples() const { return samples_; }
-
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;

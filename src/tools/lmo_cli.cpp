@@ -564,8 +564,6 @@ int cmd_chaos_shared_prefix(const Args& args) {
   const std::int64_t gen_len = args.get_int("len", 10);
 
   runtime::RuntimeConfig config = tiny_runtime_config(args);
-  LMO_CHECK_MSG(config.kv_flavor == runtime::KVFlavor::kDense,
-                "shared-prefix profile requires --kv dense");
   const std::int64_t block_tokens = args.get_int("kv-block-tokens", 8);
 
   // Batch A warms the cache; batch B shares A's leading tokens and adds
@@ -1425,7 +1423,8 @@ int cmd_chaos(const Args& args) {
                  "dead-prefetch, oom [--denials N], "
                  "bitflip [--rate P] [--repair-attempts N], "
                  "kill-resume [--rate P] [--kv dense|paged|window], "
-                 "shared-prefix [--rate P] [--kv-block-tokens N], "
+                 "shared-prefix [--rate P] [--kv dense|paged] "
+                 "[--kv-block-tokens N], "
                  "overload [--burst-rate R] [--kv-pool-kb N], "
                  "adaptive [--windows N], "
                  "crash [--ops N] [--dir D]\n",

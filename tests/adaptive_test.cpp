@@ -400,13 +400,13 @@ TEST(KvFactory, FlavorRoundTripsAndRejectsUnknown) {
 
 TEST(KvFactory, BuildsEachFlavor) {
   runtime::MemoryPool pool("test", 64 << 20);
-  runtime::PagePool pages(/*hidden=*/64, /*page_tokens=*/16, pool);
+  runtime::KVBlockPool pages({.block_tokens = 16, .hidden = 64}, &pool);
   runtime::KvCacheSpec spec;
   spec.hidden = 64;
   spec.num_layers = 4;
   spec.kv_bits = 16;
   spec.pool = &pool;
-  spec.page_pool = &pages;
+  spec.block_pool = &pages;
   spec.window_tokens = 8;
   for (auto flavor : {runtime::KVFlavor::kDense, runtime::KVFlavor::kPaged,
                       runtime::KVFlavor::kWindow}) {

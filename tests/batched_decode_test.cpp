@@ -12,7 +12,6 @@
 
 #include "lmo/integrity/integrity.hpp"
 #include "lmo/kvshare/prefix_cache.hpp"
-#include "lmo/kvshare/shared_kv_cache.hpp"
 #include "lmo/runtime/kv_cache.hpp"
 #include "lmo/runtime/kv_factory.hpp"
 #include "lmo/runtime/paged_kv.hpp"
@@ -72,7 +71,7 @@ std::uint64_t forward_hash(const HashCase& c) {
   OffloadManager manager(device, host, c.weight_bits, 32);
   Transformer model(spec, manager, c.device_layers, 42);
   parallel::ThreadPool prefetch(2);
-  PagePool pages(spec.hidden, 16, host);
+  KVBlockPool pages({.block_tokens = 16, .hidden = spec.hidden}, &host);
   KvCacheSpec kv;
   kv.hidden = spec.hidden;
   kv.num_layers = spec.num_layers;
@@ -80,7 +79,7 @@ std::uint64_t forward_hash(const HashCase& c) {
   kv.quant_group = 32;
   kv.window_tokens = 32;
   kv.pool = &host;
-  kv.page_pool = &pages;
+  kv.block_pool = &pages;
 
   util::Xoshiro256 rng(7);
   std::uint64_t hash = 1469598103934665603ull;
@@ -192,14 +191,14 @@ TEST(BatchedForward, MatchesPerSequenceForEveryKvBackend) {
   const std::int64_t hidden = 128;
   const std::int64_t layers = 2;
   MemoryPool kv_pool("kv", 512u << 20);
-  PagePool pages(hidden, 16, kv_pool);
+  KVBlockPool pages({.block_tokens = 16, .hidden = hidden}, &kv_pool);
   KvCacheSpec spec;
   spec.hidden = hidden;
   spec.num_layers = layers;
   spec.quant_group = 32;
   spec.window_tokens = 24;  // smaller than the longest prompt: evicts
   spec.pool = &kv_pool;
-  spec.page_pool = &pages;
+  spec.block_pool = &pages;
   for (int bits : {16, 8, 4}) {
     KvCacheSpec dense = spec;
     dense.kv_bits = bits;
@@ -213,31 +212,41 @@ TEST(BatchedForward, MatchesPerSequenceForEveryKvBackend) {
       "window", [&] { return MakeKvCache(KVFlavor::kWindow, spec); });
 
   // Shared: every sequence starts from the same cached 8-token prefix
-  // (two 4-token blocks) and appends privately.
-  kvshare::PrefixCacheConfig config;
-  config.block_tokens = 4;
-  config.hidden = hidden;
-  config.num_layers = layers;
-  kvshare::PrefixCache prefix(config, &kv_pool, nullptr);
+  // (two 4-token blocks, published from a paged cache) and appends into
+  // blocks of its own.
+  KVBlockPool blocks({.block_tokens = 4, .hidden = hidden}, &kv_pool);
+  kvshare::PrefixCache prefix(blocks, layers, nullptr);
   util::Xoshiro256 rng(5);
   std::vector<std::int64_t> tokens(12);
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     tokens[i] = static_cast<std::int64_t>(i);
   }
-  prefix.insert(std::span<const std::int64_t>(tokens).first(8),
-                [&](std::int64_t, float* payload) {
-                  for (std::size_t i = 0; i < config.payload_floats(); ++i) {
-                    payload[i] = static_cast<float>(rng.normal());
-                  }
-                });
+  {
+    SequenceCache publisher;
+    for (std::int64_t layer = 0; layer < layers; ++layer) {
+      publisher.push_back(std::make_unique<PagedKVCache>(blocks));
+      for (int t = 0; t < 8; ++t) {
+        publisher.back()->append(Tensor::normal({hidden}, rng),
+                                 Tensor::normal({hidden}, rng));
+      }
+    }
+    prefix.insert(std::span<const std::int64_t>(tokens).first(8),
+                  [&](std::int64_t offset) {
+                    std::vector<std::int64_t> ids;
+                    for (const auto& layer : publisher) {
+                      ids.push_back(static_cast<const PagedKVCache&>(*layer)
+                                        .block_table()[offset / 4]);
+                    }
+                    return ids;
+                  });
+  }
   const auto lease = prefix.match(tokens);
   ASSERT_NE(lease, nullptr);
   ASSERT_EQ(lease->matched_tokens(), 8);
   expect_batched_matches_per_sequence("shared", [&] {
     SequenceCache cache;
     for (std::int64_t layer = 0; layer < layers; ++layer) {
-      cache.push_back(std::make_unique<kvshare::SharedKVCache>(
-          hidden, layer, lease, 8, kv_pool));
+      cache.push_back(std::make_unique<PagedKVCache>(*lease, layer));
     }
     return cache;
   });

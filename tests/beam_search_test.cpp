@@ -43,19 +43,19 @@ TEST(CacheClone, ContiguousDeepCopyChargesPool) {
   EXPECT_EQ(copy->length(), 6);
 }
 
-TEST(CacheClone, PagedDeepCopyUsesFreshPages) {
+TEST(CacheClone, PagedCloneSharesBlocks) {
   MemoryPool mem("p", 1 << 20);
-  PagePool pool(8, 4, mem);
+  KVBlockPool pool({.block_tokens = 4, .hidden = 8}, &mem);
   PagedKVCache cache(pool);
   util::Xoshiro256 rng(2);
   for (int i = 0; i < 6; ++i) {
     cache.append(Tensor::uniform({8}, rng), Tensor::uniform({8}, rng));
   }
   auto copy = cache.clone();
-  EXPECT_EQ(pool.pages_in_use(), 4u);  // 2 + 2
+  EXPECT_EQ(pool.live_blocks(), 2u);  // shared, not copied
   EXPECT_EQ(copy->keys().max_abs_diff(cache.keys()), 0.0f);
   copy->truncate(0);
-  EXPECT_EQ(pool.pages_in_use(), 2u);  // original intact
+  EXPECT_EQ(pool.live_blocks(), 2u);  // original intact
   EXPECT_EQ(cache.length(), 6);
 }
 

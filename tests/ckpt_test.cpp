@@ -284,11 +284,9 @@ TEST(CkptTensorCodec, GarbageShapeIsCorrupt) {
 
 // ------------------------------------------------------------ kv codec --
 
-runtime::KVRestoreContext context_for(runtime::MemoryPool& pool,
-                                      runtime::PagePool* pages = nullptr) {
+runtime::KVRestoreContext context_for(runtime::MemoryPool& pool) {
   runtime::KVRestoreContext context;
   context.pool = &pool;
-  context.page_pool = pages;
   return context;
 }
 
@@ -442,9 +440,10 @@ void expect_fixture_resumes(
 }
 
 TEST(GeneratorCkpt, PagedFixtureFromEarlierBuildResumes) {
-  // Written mid-decode of kPrompts with 4-token pages.
+  // Written mid-decode of kPrompts with 4-token pages, when the page size
+  // was a field of its own.
   auto config = fixture_config(runtime::KVFlavor::kPaged);
-  config.page_tokens = 4;
+  config.kv_block_tokens = 4;
   expect_fixture_resumes(config, "paged_kv_v3.ckpt",
                          {{4, 35, 10, 10, 19, 19, 13, 13, 14, 62},
                           {47, 52, 52, 32, 32, 17, 33, 54, 61, 61}});
@@ -597,7 +596,7 @@ TEST(GeneratorCkpt, RuntimeConfigCodecRoundTrips) {
   EXPECT_TRUE(reader.exhausted());
   EXPECT_TRUE(runtime::runtime_config_equal(decoded, config));
   auto other = config;
-  other.page_tokens += 1;
+  other.kv_block_tokens += 1;
   EXPECT_FALSE(runtime::runtime_config_equal(decoded, other));
 }
 

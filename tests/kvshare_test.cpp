@@ -1,9 +1,10 @@
 // Tests for the cross-request KV prefix-sharing subsystem: radix-tree
-// longest-prefix matching, copy-on-write fork isolation, refcount /
-// eviction invariants (pinned chains survive pressure, pool bytes stay
-// exact), the pool-accounting property every KV backend must honour
-// (clone+destroy and truncate-to-zero return the pool to baseline), and
-// the end-to-end contract — prefix sharing ON produces byte-identical
+// longest-prefix matching, publishing by reference, copy-on-write fork
+// isolation over shared blocks, refcount / eviction invariants (pinned
+// chains survive pressure, pool bytes stay exact, pressure relief counts
+// only freed bytes), the pool-accounting property every KV backend must
+// honour (clone+destroy and truncate-to-zero return the pool to baseline),
+// and the end-to-end contract — prefix sharing ON produces byte-identical
 // tokens to OFF while strictly reducing prefilled tokens and moved bytes,
 // through generation, serving, preemption and checkpoint kill-resume.
 #include <gtest/gtest.h>
@@ -14,10 +15,8 @@
 #include <vector>
 
 #include "lmo/integrity/integrity.hpp"
-#include "lmo/kvshare/block_store.hpp"
 #include "lmo/kvshare/prefix_cache.hpp"
 #include "lmo/kvshare/radix_tree.hpp"
-#include "lmo/kvshare/shared_kv_cache.hpp"
 #include "lmo/runtime/generator.hpp"
 #include "lmo/runtime/kv_cache.hpp"
 #include "lmo/runtime/paged_kv.hpp"
@@ -27,6 +26,7 @@
 #include "lmo/tensor/tensor.hpp"
 #include "lmo/util/check.hpp"
 #include "lmo/util/fault.hpp"
+#include "lmo/util/status.hpp"
 
 namespace lmo::kvshare {
 namespace {
@@ -123,71 +123,47 @@ TEST(RadixTree, EvictionIsLruByLeafAndPinsProtectAncestors) {
   EXPECT_EQ(tree.node_count(), 0u);
 }
 
-// -- block store -----------------------------------------------------------
-
-TEST(BlockStore, RefcountsAndExactPoolBytes) {
-  MemoryPool pool("host", 1 << 20);
-  BlockStoreConfig config;
-  config.block_tokens = 4;
-  config.payload_floats = 8;
-  config.bytes_per_block = 8 * sizeof(float);
-  BlockStore store(config, &pool);
-
-  const auto a = store.try_allocate();
-  const auto b = store.try_allocate();
-  ASSERT_GE(a, 0);
-  ASSERT_GE(b, 0);
-  EXPECT_EQ(store.live_blocks(), 2u);
-  EXPECT_EQ(pool.used(), 2 * config.bytes_per_block);
-  EXPECT_NE(store.payload(a), nullptr);
-
-  store.ref(a);
-  EXPECT_EQ(store.refcount(a), 2);
-  store.unref(a);
-  EXPECT_EQ(store.refcount(a), 1);
-  store.unref(a);
-  store.unref(b);
-  EXPECT_EQ(store.live_blocks(), 0u);
-  EXPECT_EQ(pool.used(), 0u);  // every byte returned
-}
-
-TEST(BlockStore, CapacityBudgetDeniesNotThrows) {
-  BlockStoreConfig config;
-  config.block_tokens = 4;
-  config.bytes_per_block = 64;
-  config.capacity_bytes = 128;  // room for two accounting-only blocks
-  BlockStore store(config, nullptr);
-  EXPECT_GE(store.try_allocate(), 0);
-  EXPECT_GE(store.try_allocate(), 0);
-  EXPECT_EQ(store.try_allocate(), -1);
-  EXPECT_EQ(store.payload(0), nullptr);  // accounting mode: no payload
-}
+using Blocks = std::vector<std::int64_t>;
 
 // -- prefix cache ----------------------------------------------------------
 
-PrefixCacheConfig small_cache_config() {
-  PrefixCacheConfig config;
+/// 4-token blocks of 2-wide rows: one node is 64 bytes.
+runtime::KVBlockPoolConfig small_blocks(std::int64_t hidden = 2) {
+  runtime::KVBlockPoolConfig config;
   config.block_tokens = 4;
-  config.hidden = 2;
-  config.num_layers = 1;
-  config.materialize = true;
+  config.hidden = hidden;
   return config;
 }
 
-/// Fills a block so every float encodes its absolute token offset.
-PrefixCache::BlockWriter offset_writer(const PrefixCacheConfig& config) {
-  return [config](std::int64_t token_offset, float* payload) {
-    for (std::size_t i = 0; i < config.payload_floats(); ++i) {
-      payload[i] = static_cast<float>(token_offset);
-    }
-  };
+/// A one-layer paged cache whose row t holds t in K and -t in V.
+std::unique_ptr<runtime::PagedKVCache> position_rows(
+    runtime::KVBlockPool& blocks, std::int64_t tokens) {
+  auto rows = std::make_unique<runtime::PagedKVCache>(blocks);
+  for (std::int64_t t = 0; t < tokens; ++t) {
+    rows->append(Tensor::full({blocks.hidden()}, static_cast<float>(t)),
+                 Tensor::full({blocks.hidden()}, -static_cast<float>(t)));
+  }
+  return rows;
+}
+
+/// Publish `tokens` the way a finished prefill does: the cache refs the
+/// blocks of a sequence that computed them (position_rows).
+std::shared_ptr<PrefixLease> publish(PrefixCache& cache,
+                                     runtime::KVBlockPool& blocks,
+                                     const std::vector<std::int64_t>& tokens) {
+  const auto rows =
+      position_rows(blocks, static_cast<std::int64_t>(tokens.size()));
+  return cache.insert(tokens, [&](std::int64_t offset) {
+    return Blocks{rows->block_table()[static_cast<std::size_t>(
+        offset / blocks.block_tokens())]};
+  });
 }
 
 TEST(PrefixCache, MatchIsCappedBelowThePromptLength) {
   MemoryPool pool("host", 1 << 20);
-  const auto config = small_cache_config();
-  PrefixCache cache(config, &pool, nullptr);
-  cache.insert(seq(8), offset_writer(config));
+  runtime::KVBlockPool blocks(small_blocks(), &pool);
+  PrefixCache cache(blocks, 1, nullptr);
+  publish(cache, blocks, seq(8));
 
   // A fully cached prompt still leaves one token to prefill.
   const auto full = cache.match(seq(8));
@@ -201,19 +177,20 @@ TEST(PrefixCache, MatchIsCappedBelowThePromptLength) {
 }
 
 TEST(PrefixCache, PinnedChainsSurvivePressureAndBytesStayExact) {
-  const auto block_bytes = small_cache_config().block_bytes();
-  MemoryPool pool("host", 3 * block_bytes);  // room for three blocks
-  const auto config = small_cache_config();
-  PrefixCache cache(config, &pool, nullptr);
+  MemoryPool pool("host", 3 * 64);  // room for three blocks
+  runtime::KVBlockPool blocks(small_blocks(), &pool);
+  PrefixCache cache(blocks, 1, nullptr);
+  const std::size_t block_bytes = cache.node_bytes();
+  ASSERT_EQ(block_bytes, 64u);
 
-  auto pinned = cache.insert(seq(8, 1000), offset_writer(config));
+  auto pinned = cache.insert(seq(8, 1000));
   ASSERT_NE(pinned, nullptr);
   EXPECT_EQ(pinned->blocks(), 2u);
   EXPECT_EQ(pool.used(), 2 * block_bytes);
 
   // Third block fits; the next insert must evict — but both candidates are
   // pinned, so the chain is cut short rather than evicting pinned blocks.
-  auto overflow = cache.insert(seq(8, 2000), offset_writer(config));
+  auto overflow = cache.insert(seq(8, 2000));
   ASSERT_NE(overflow, nullptr);
   EXPECT_EQ(overflow->blocks(), 1u);
   EXPECT_EQ(pool.used(), 3 * block_bytes);
@@ -222,7 +199,7 @@ TEST(PrefixCache, PinnedChainsSurvivePressureAndBytesStayExact) {
   // Release the pins: pressure can now evict, and bytes return exactly.
   pinned.reset();
   overflow.reset();
-  auto fresh = cache.insert(seq(12, 3000), offset_writer(config));
+  auto fresh = cache.insert(seq(12, 3000));
   ASSERT_NE(fresh, nullptr);
   EXPECT_EQ(fresh->blocks(), 3u);
   EXPECT_EQ(pool.used(), 3 * block_bytes);
@@ -236,8 +213,8 @@ TEST(PrefixCache, PinnedChainsSurvivePressureAndBytesStayExact) {
 
 TEST(PrefixCache, PoolDenialEvictsOrCutsTheChainGracefully) {
   MemoryPool pool("host", 1 << 20);
-  const auto config = small_cache_config();
-  PrefixCache cache(config, &pool, nullptr);
+  runtime::KVBlockPool blocks(small_blocks(), &pool);
+  PrefixCache cache(blocks, 1, nullptr);
 
   // Denied with nothing to evict: the insert yields nothing, no error.
   {
@@ -245,17 +222,17 @@ TEST(PrefixCache, PoolDenialEvictsOrCutsTheChainGracefully) {
     util::FaultSpec spec;
     spec.alloc_failures = 1;  // deny exactly one block charge
     chaos.arm("pool.host.charge", spec);
-    EXPECT_EQ(cache.insert(seq(12), offset_writer(config)), nullptr);
+    EXPECT_EQ(cache.insert(seq(12)), nullptr);
   }
 
   // With unpinned content cached, a denial evicts an LRU leaf and retries.
-  cache.insert(seq(8, 900), offset_writer(config));
+  cache.insert(seq(8, 900));
   {
     util::ScopedFaultInjection chaos(8);
     util::FaultSpec spec;
     spec.alloc_failures = 1;
     chaos.arm("pool.host.charge", spec);
-    const auto lease = cache.insert(seq(12), offset_writer(config));
+    const auto lease = cache.insert(seq(12));
     ASSERT_NE(lease, nullptr);
     EXPECT_EQ(lease->blocks(), 3u);
   }
@@ -263,78 +240,118 @@ TEST(PrefixCache, PoolDenialEvictsOrCutsTheChainGracefully) {
   EXPECT_EQ(cache.node_count(), 4u);
 }
 
-TEST(PrefixCache, MatchedPlanesHoldTheInsertedValues) {
+TEST(PrefixCache, PublishingSharesTheSequenceBlocks) {
   MemoryPool pool("host", 1 << 20);
-  const auto config = small_cache_config();
-  PrefixCache cache(config, &pool, nullptr);
-  cache.insert(seq(8), offset_writer(config));
-  const auto lease = cache.match(seq(12));
-  ASSERT_NE(lease, nullptr);
-  ASSERT_EQ(lease->blocks(), 2u);
-  EXPECT_FLOAT_EQ(lease->k_plane(0, 0)[0], 0.0f);
-  EXPECT_FLOAT_EQ(lease->v_plane(1, 0)[0], 4.0f);
+  runtime::KVBlockPool blocks(small_blocks(), &pool);
+  PrefixCache cache(blocks, 1, nullptr);
+  // A 10-token sequence: two full blocks and a partial tail.
+  const auto rows = position_rows(blocks, 10);
+  const std::size_t sequence_bytes = pool.used();
+  const auto published = cache.insert(seq(10), [&](std::int64_t offset) {
+    return Blocks{rows->block_table()[static_cast<std::size_t>(offset / 4)]};
+  });
+  ASSERT_NE(published, nullptr);
+  EXPECT_EQ(published->blocks(), 2u);  // full blocks only
+  EXPECT_EQ(pool.used(), sequence_bytes);  // refs, not copies
+  EXPECT_EQ(cache.bytes_in_use(), 2 * cache.node_bytes());
+  EXPECT_EQ(blocks.refcount(rows->block_table()[0]), 2);
+  EXPECT_EQ(blocks.refcount(rows->block_table()[2]), 1);
+  EXPECT_EQ(published->block(1, 0), rows->block_table()[1]);
 }
 
-// -- shared KV cache (copy-on-write) ---------------------------------------
+TEST(PrefixCache, PressureReliefReportsOnlyBytesActuallyFreed) {
+  MemoryPool pool("host", 4 * 64);
+  runtime::KVBlockPool blocks(small_blocks(), &pool);
+  PrefixCache cache(blocks, 1, nullptr);
+  // Two cached blocks whose publisher is still alive (refcount 2) and one
+  // block only the cache holds.
+  const auto live = position_rows(blocks, 8);
+  cache.insert(seq(8), [&](std::int64_t offset) {
+    return Blocks{live->block_table()[static_cast<std::size_t>(offset / 4)]};
+  });
+  publish(cache, blocks, seq(4, 500));
+  ASSERT_EQ(pool.used(), 3 * 64u);
+  // A sequence needing two more blocks: the first fits, the second makes
+  // the pool ask the cache for relief. Evicting a block the live sequence
+  // still reads frees nothing, so the LRU walk goes on (through the whole
+  // older chain) until it reaches a block that does.
+  runtime::PagedKVCache next(blocks);
+  util::Xoshiro256 rng(4);
+  for (int t = 0; t < 8; ++t) {
+    next.append(Tensor::uniform({2}, rng), Tensor::uniform({2}, rng));
+  }
+  EXPECT_EQ(next.block_table().size(), 2u);
+  EXPECT_EQ(pool.used(), 4 * 64u);
+  EXPECT_EQ(cache.node_count(), 0u);
+  EXPECT_EQ(blocks.refcount(live->block_table()[0]), 1);  // still readable
+}
 
-TEST(SharedKVCache, CowTruncateNeverTouchesSharedBlocks) {
+// -- paged caches over a lease (copy-on-write) ------------------------------
+
+TEST(PagedKVCacheOverLease, CowTruncateNeverTouchesSharedBlocks) {
   MemoryPool pool("host", 1 << 20);
-  const auto config = small_cache_config();
-  PrefixCache cache(config, &pool, nullptr);
-  cache.insert(seq(8), offset_writer(config));
+  runtime::KVBlockPool blocks(small_blocks(), &pool);
+  PrefixCache cache(blocks, 1, nullptr);
+  publish(cache, blocks, seq(8));
   auto lease = cache.match(seq(12));
   ASSERT_NE(lease, nullptr);
-  const float* shared_plane = lease->k_plane(1, 0);
+  const float* shared_block = blocks.data(lease->block(1, 0));
 
-  SharedKVCache a(2, 0, lease, 8, pool);
+  runtime::PagedKVCache a(*lease, 0);
   a.append(Tensor::full({2}, 100.0f), Tensor::full({2}, -100.0f));
   a.append(Tensor::full({2}, 101.0f), Tensor::full({2}, -101.0f));
   ASSERT_EQ(a.length(), 10);
 
-  // Fork, then truncate the original into the shared region (CoW).
+  // Fork, then truncate the original into the shared region.
   auto fork = a.clone();
   a.truncate(6);
   EXPECT_EQ(a.length(), 6);
-  EXPECT_EQ(a.shared_length(), 4);  // kept whole blocks only
+  EXPECT_EQ(a.block_table().size(), 2u);  // the shared blocks, no copy yet
 
   // The fork still sees every original row…
   EXPECT_EQ(fork->length(), 10);
   EXPECT_FLOAT_EQ(fork->keys().at({9, 0}), 101.0f);
-  EXPECT_FLOAT_EQ(fork->keys().at({5, 0}), 4.0f);
+  EXPECT_FLOAT_EQ(fork->keys().at({5, 0}), 5.0f);
   // …the truncated cache re-reads its surviving rows bit-exactly…
-  EXPECT_FLOAT_EQ(a.keys().at({5, 0}), 4.0f);
-  EXPECT_FLOAT_EQ(a.values().at({5, 0}), 4.0f);
+  EXPECT_FLOAT_EQ(a.keys().at({5, 0}), 5.0f);
+  EXPECT_FLOAT_EQ(a.values().at({5, 0}), -5.0f);
   // …and the shared payload itself was never written.
-  EXPECT_FLOAT_EQ(shared_plane[0], 4.0f);
+  EXPECT_FLOAT_EQ(shared_block[2 * 2], 6.0f);  // token 6, slot 2
 
-  // Appending after the CoW diverges the two caches independently.
+  // Appending after the truncate copies the shared block first, so the
+  // two caches diverge independently.
   a.append(Tensor::full({2}, 500.0f), Tensor::full({2}, -500.0f));
+  EXPECT_NE(a.block_table()[1], lease->block(1, 0));
   EXPECT_FLOAT_EQ(a.keys().at({6, 0}), 500.0f);
-  EXPECT_FLOAT_EQ(fork->keys().at({6, 0}), 4.0f);  // still the shared row
+  EXPECT_FLOAT_EQ(a.keys().at({5, 0}), 5.0f);
+  EXPECT_FLOAT_EQ(fork->keys().at({6, 0}), 6.0f);  // still the shared row
   EXPECT_FLOAT_EQ(fork->keys().at({8, 0}), 100.0f);
+  EXPECT_FLOAT_EQ(shared_block[2 * 2], 6.0f);  // token 6, slot 2
 }
 
-TEST(SharedKVCache, TruncateToZeroDropsTheLeaseAndAllPoolBytes) {
+TEST(PagedKVCacheOverLease, TruncateToZeroDropsEveryPrivateByte) {
   MemoryPool pool("host", 1 << 20);
-  const auto config = small_cache_config();
-  PrefixCache cache(config, &pool, nullptr);
-  cache.insert(seq(8), offset_writer(config));
+  runtime::KVBlockPool blocks(small_blocks(), &pool);
+  PrefixCache cache(blocks, 1, nullptr);
+  publish(cache, blocks, seq(8));
   const auto cached_bytes = pool.used();
 
   auto lease = cache.match(seq(12));
   ASSERT_NE(lease, nullptr);
   {
-    SharedKVCache a(2, 0, std::move(lease), 8, pool);
+    runtime::PagedKVCache a(*lease, 0);
+    lease.reset();  // the cache's blocks outlive the pin they came from
+    EXPECT_EQ(pool.used(), cached_bytes);  // starting from a lease is free
     a.append(Tensor::full({2}, 1.0f), Tensor::full({2}, 2.0f));
-    EXPECT_GT(a.stored_bytes(), 0u);
+    EXPECT_GT(pool.used(), cached_bytes);
     a.truncate(0);
     EXPECT_EQ(a.length(), 0);
-    EXPECT_EQ(a.stored_bytes(), 0u);
     EXPECT_EQ(pool.used(), cached_bytes);  // private bytes all returned
     a.append(Tensor::full({2}, 3.0f), Tensor::full({2}, 4.0f));
     EXPECT_FLOAT_EQ(a.keys().at({0, 0}), 3.0f);
   }
   EXPECT_EQ(pool.used(), cached_bytes);  // destructor exact too
+  EXPECT_EQ(cache.pinned_leases(), 0u);
 }
 
 // -- pool-accounting property: every backend returns to baseline -----------
@@ -345,29 +362,20 @@ TEST(KVPoolAccounting, CloneDestroyAndTruncateToZeroReturnToBaseline) {
   for (const char* flavor : {"dense", "paged", "window", "shared"}) {
     SCOPED_TRACE(flavor);
     MemoryPool pool("host", 1 << 20);
-    std::unique_ptr<runtime::PagePool> pages;
+    runtime::KVBlockPool blocks(small_blocks(hidden), &pool);
     std::unique_ptr<PrefixCache> prefix;
     std::unique_ptr<runtime::KVCacheBase> cache;
     if (std::string(flavor) == "dense") {
       cache = std::make_unique<runtime::KVCache>(hidden, 16, 8, pool);
     } else if (std::string(flavor) == "paged") {
-      pages = std::make_unique<runtime::PagePool>(hidden, 4, pool);
-      cache = std::make_unique<runtime::PagedKVCache>(*pages);
+      cache = std::make_unique<runtime::PagedKVCache>(blocks);
     } else if (std::string(flavor) == "window") {
       cache = std::make_unique<runtime::WindowKVCache>(hidden, 32, pool);
     } else {
-      PrefixCacheConfig config;
-      config.block_tokens = 4;
-      config.hidden = hidden;
-      config.num_layers = 1;
-      prefix = std::make_unique<PrefixCache>(config, &pool, nullptr);
-      prefix->insert(seq(8), [&](std::int64_t, float* payload) {
-        for (std::size_t i = 0; i < config.payload_floats(); ++i) {
-          payload[i] = 0.5f;
-        }
-      });
-      cache = std::make_unique<SharedKVCache>(hidden, 0,
-                                              prefix->match(seq(12)), 8, pool);
+      prefix = std::make_unique<PrefixCache>(blocks, 1, nullptr);
+      publish(*prefix, blocks, seq(8));
+      cache = std::make_unique<runtime::PagedKVCache>(*prefix->match(seq(12)),
+                                                      0);
     }
     const auto empty_bytes = pool.used();
 
@@ -385,12 +393,12 @@ TEST(KVPoolAccounting, CloneDestroyAndTruncateToZeroReturnToBaseline) {
     EXPECT_EQ(pool.used(), filled_bytes);
 
     // truncate-to-zero returns every variable byte (the window ring is a
-    // fixed construction-time charge by design, included in empty_bytes).
+    // fixed construction-time charge by design, and the prefix cache's
+    // blocks are the cache's, both included in empty_bytes).
     cache->truncate(0);
     EXPECT_EQ(pool.used(), empty_bytes);
 
     cache.reset();
-    pages.reset();
     prefix.reset();
     EXPECT_EQ(pool.used(), 0u);
   }
@@ -512,29 +520,55 @@ TEST(GeneratorPrefixShare, TokensAreByteIdenticalToSharingOff) {
   const auto off_a = off.generate(batch_a, 8).tokens;
   const auto off_b = off.generate(batch_b, 8).tokens;
 
-  config.prefix_share = true;
-  config.kv_block_tokens = 4;
-  runtime::Generator on(config);
-  const auto on_a = on.generate(batch_a, 8).tokens;
-  const auto on_b = on.generate(batch_b, 8).tokens;
+  for (const auto flavor : {runtime::KVFlavor::kDense,
+                            runtime::KVFlavor::kPaged}) {
+    SCOPED_TRACE(runtime::to_string(flavor));
+    config.kv_flavor = flavor;
+    config.prefix_share = true;
+    config.kv_block_tokens = 4;
+    runtime::Generator on(config);
+    const auto on_a = on.generate(batch_a, 8).tokens;
+    const auto on_b = on.generate(batch_b, 8).tokens;
 
-  EXPECT_EQ(on_a, off_a);
-  EXPECT_EQ(on_b, off_b);  // batch B decoded over reused prefix KV
+    EXPECT_EQ(on_a, off_a);
+    EXPECT_EQ(on_b, off_b);  // batch B decoded over reused prefix KV
 
-  const auto snap = on.manager().metrics().snapshot();
-  ASSERT_NE(snap.find("kvshare.hit_tokens"), nullptr);
-  EXPECT_GT(snap.counter("kvshare.hit_tokens"), 0u);
-  EXPECT_GT(snap.counter("kvshare.bytes_saved"), 0u);
+    const auto snap = on.manager().metrics().snapshot();
+    ASSERT_NE(snap.find("kvshare.hit_tokens"), nullptr);
+    EXPECT_GT(snap.counter("kvshare.hit_tokens"), 0u);
+    EXPECT_GT(snap.counter("kvshare.bytes_saved"), 0u);
+  }
 }
 
-TEST(GeneratorPrefixShare, RequiresDenseF32KV) {
+TEST(GeneratorPrefixShare, RequiresF32BlockTables) {
   auto config = tiny_share_config();
   config.prefix_share = true;
-  config.kv_flavor = runtime::KVFlavor::kPaged;
+  config.kv_flavor = runtime::KVFlavor::kWindow;
   EXPECT_THROW(runtime::Generator{config}, util::CheckError);
   config.kv_flavor = runtime::KVFlavor::kDense;
   config.kv_bits = 4;
   EXPECT_THROW(runtime::Generator{config}, util::CheckError);
+}
+
+TEST(GeneratorPrefixShare, PoolBytesReturnToBaselineAfterEverySession) {
+  auto config = tiny_share_config();
+  config.prefix_share = true;
+  config.kv_block_tokens = 4;
+  runtime::Generator gen(config);
+  const std::size_t baseline = gen.host_pool().used();
+  // 20-token prompts: five full blocks each, the first four shared by
+  // every prompt. Once a session ends, only published blocks stay charged:
+  // one node is 4 tokens x 2 layers of 2 x 32-float rows.
+  const std::size_t node = 2u * (2u * 4u * 32u * sizeof(float));
+  gen.generate(shared_prompts(18, 0), 8);
+  EXPECT_EQ(gen.host_pool().used(), baseline + 6 * node);
+  gen.generate(shared_prompts(18, 7), 8);  // hits 4 blocks, adds 1 each
+  EXPECT_EQ(gen.host_pool().used(), baseline + 8 * node);
+  const auto snap = gen.manager().metrics().snapshot();
+  EXPECT_EQ(snap.find("kvshare.bytes_in_use")->value,
+            static_cast<double>(8 * node));
+  EXPECT_EQ(snap.find("kvshare.pinned")->value, 0.0);
+  EXPECT_EQ(snap.counter("kvshare.hit_tokens"), 32u);
 }
 
 TEST(GeneratorPrefixShare, CheckpointKillResumeStaysBitExact) {
@@ -576,26 +610,18 @@ TEST(GeneratorPrefixShare, CheckpointKillResumeStaysBitExact) {
 
 TEST(PrefixCacheConcurrency, ParallelMatchInsertEvictStaysConsistent) {
   MemoryPool pool("host", 1 << 22);
-  PrefixCacheConfig config;
-  config.block_tokens = 4;
-  config.hidden = 4;
-  config.num_layers = 1;
-  PrefixCache cache(config, &pool, nullptr);
+  runtime::KVBlockPool blocks(small_blocks(4), &pool);
+  PrefixCache cache(blocks, 1, nullptr);
 
   std::atomic<bool> failed{false};
   const auto worker = [&](std::int64_t base) {
     for (int i = 0; i < 200 && !failed.load(); ++i) {
       const auto tokens = seq(8 + (i % 3) * 4, base + (i % 5) * 1000);
-      auto lease =
-          cache.insert(tokens, [&](std::int64_t offset, float* payload) {
-            for (std::size_t f = 0; f < config.payload_floats(); ++f) {
-              payload[f] = static_cast<float>(offset);
-            }
-          });
+      auto lease = cache.insert(tokens);
       auto match = cache.match(tokens);
       if (match != nullptr && match->blocks() > 0) {
-        // Pinned planes stay readable and hold what the writer stored.
-        if (match->k_plane(0, 0)[0] != 0.0f) failed.store(true);
+        // Pinned blocks stay live and hold what insert stored (zeros).
+        if (blocks.data(match->block(0, 0))[0] != 0.0f) failed.store(true);
       }
       if (i % 16 == 0) cache.evict(1);
     }
@@ -612,18 +638,46 @@ TEST(PrefixCacheConcurrency, ParallelMatchInsertEvictStaysConsistent) {
   EXPECT_EQ(pool.used(), 0u);  // refcounts balanced across all threads
 }
 
+TEST(PrefixCacheConcurrency, ReliefOnAnotherThreadWhileSequencesPublish) {
+  // The block pool is shared: one thread appends to paged caches and
+  // publishes them while another drives the memory pool into pressure, so
+  // the cache's relief callback frees blocks concurrently.
+  MemoryPool pool("host", 64 * 64);  // 64 blocks of 4 x 2-wide rows
+  runtime::KVBlockPool blocks(small_blocks(), &pool);
+  telemetry::MetricsRegistry metrics;
+  PrefixCache cache(blocks, 1, &metrics);
+
+  std::thread pressure([&] {
+    for (int i = 0; i < 300; ++i) {
+      if (pool.try_charge(16 * 64)) pool.release(16 * 64);
+    }
+  });
+  for (int i = 0; i < 300; ++i) {
+    try {
+      publish(cache, blocks, seq(12, (i % 40) * 100));
+    } catch (const util::ResourceExhausted&) {
+      // The other thread held the headroom this instant.
+    }
+  }
+  pressure.join();
+  EXPECT_GT(metrics.counter("kvshare.evicted_blocks").value(), 0u);
+  cache.evict(1u << 20);
+  EXPECT_EQ(blocks.live_blocks(), 0u);
+  EXPECT_EQ(pool.used(), 0u);
+}
+
 // -- integrity quarantine --------------------------------------------------
 
 TEST(PrefixCacheIntegrity, CorruptBlockIsQuarantinedAndExcludedFromMatch) {
   MemoryPool pool("host", 1 << 20);
-  const auto config = small_cache_config();
+  runtime::KVBlockPool blocks(small_blocks(), &pool);
   integrity::IntegrityConfig iconfig;
   iconfig.policy = integrity::VerifyPolicy::kAlways;
   telemetry::MetricsRegistry metrics;
   integrity::ChecksumRegistry registry(iconfig, &metrics);
-  PrefixCache cache(config, &pool, &metrics, &registry);
+  PrefixCache cache(blocks, 1, &metrics, &registry);
 
-  cache.insert(seq(12), offset_writer(config));
+  publish(cache, blocks, seq(12));
   ASSERT_NE(cache.match(seq(12)), nullptr);  // clean chain matches
   ASSERT_EQ(cache.blocks_in_use(), 3u);
 
@@ -646,24 +700,24 @@ TEST(PrefixCacheIntegrity, CorruptBlockIsQuarantinedAndExcludedFromMatch) {
   // The quarantined prefix stays unmatchable; a fresh insert of the same
   // tokens rebuilds clean blocks that match again.
   EXPECT_EQ(cache.match(seq(12)), nullptr);
-  cache.insert(seq(12), offset_writer(config));
+  publish(cache, blocks, seq(12));
   EXPECT_NE(cache.match(seq(12)), nullptr);
 }
 
 TEST(PrefixCacheIntegrity, LiveLeaseDefersQuarantineFreeUntilRelease) {
   MemoryPool pool("host", 1 << 20);
-  const auto config = small_cache_config();
+  runtime::KVBlockPool blocks(small_blocks(), &pool);
   integrity::IntegrityConfig iconfig;
   iconfig.policy = integrity::VerifyPolicy::kAlways;
   telemetry::MetricsRegistry metrics;
   integrity::ChecksumRegistry registry(iconfig, &metrics);
-  PrefixCache cache(config, &pool, &metrics, &registry);
+  PrefixCache cache(blocks, 1, &metrics, &registry);
 
-  cache.insert(seq(12), offset_writer(config));
+  publish(cache, blocks, seq(12));
   auto lease = cache.match(seq(12));  // pins the chain before the rot
   ASSERT_NE(lease, nullptr);
-  const float* plane = lease->k_plane(0, 0);
-  ASSERT_NE(plane, nullptr);
+  const std::int64_t root_block = lease->block(0, 0);
+  const float* plane = blocks.data(root_block);
 
   {
     util::ScopedFaultInjection chaos(1);
@@ -673,9 +727,10 @@ TEST(PrefixCacheIntegrity, LiveLeaseDefersQuarantineFreeUntilRelease) {
     EXPECT_EQ(cache.match(seq(12)), nullptr);
   }
   // The subtree is detached from matching but the live lease still pins
-  // it: its payload pointers stay mapped (ASan guards this read).
+  // it: its blocks stay referenced and mapped (ASan guards this read).
   EXPECT_EQ(cache.quarantined_blocks(), 3u);
   EXPECT_EQ(cache.pinned_leases(), 1u);
+  EXPECT_EQ(blocks.refcount(root_block), 1);
   volatile float still_mapped = plane[0];
   (void)still_mapped;
 
@@ -683,21 +738,58 @@ TEST(PrefixCacheIntegrity, LiveLeaseDefersQuarantineFreeUntilRelease) {
   EXPECT_EQ(cache.quarantined_blocks(), 0u);
   EXPECT_EQ(cache.pinned_leases(), 0u);
   EXPECT_EQ(cache.blocks_in_use(), 0u);
+  EXPECT_EQ(blocks.live_blocks(), 0u);
   EXPECT_EQ(pool.used(), 0u);
   EXPECT_EQ(metrics.gauge("kvshare.pinned").value(), 0.0);
 }
 
-TEST(PrefixCacheIntegrity, AbortStormUnderConcurrentChaosLeaksNothing) {
-  MemoryPool pool("host", 1 << 22);
-  PrefixCacheConfig config;
-  config.block_tokens = 4;
-  config.hidden = 4;
-  config.num_layers = 1;
+TEST(PrefixCacheIntegrity, RepublishedBlocksKeepTheirOwnFingerprint) {
+  MemoryPool pool("host", 1 << 20);
+  runtime::KVBlockPool blocks(small_blocks(), &pool);
   integrity::IntegrityConfig iconfig;
   iconfig.policy = integrity::VerifyPolicy::kAlways;
   telemetry::MetricsRegistry metrics;
   integrity::ChecksumRegistry registry(iconfig, &metrics);
-  PrefixCache cache(config, &pool, &metrics, &registry);
+  PrefixCache cache(blocks, 1, &metrics, &registry);
+  const auto rot_on_next_match = [] {
+    util::FaultSpec spec;
+    spec.flip_probability = 1.0;
+    return spec;
+  };
+
+  publish(cache, blocks, seq(8));
+  auto lease = cache.match(seq(12));
+  ASSERT_NE(lease, nullptr);
+  runtime::PagedKVCache reader(*lease, 0);  // shares the chain's blocks
+  {
+    util::ScopedFaultInjection chaos(1);
+    chaos.arm("integrity.kvshare.flip", rot_on_next_match());
+    EXPECT_EQ(cache.match(seq(12)), nullptr);  // quarantined, still pinned
+  }
+  // The reader publishes the same blocks again under fresh nodes, then the
+  // quarantined subtree is reaped. The new nodes' fingerprints must
+  // survive that: the next rot is still caught.
+  cache.insert(seq(8), [&](std::int64_t offset) {
+    return Blocks{reader.block_table()[static_cast<std::size_t>(offset / 4)]};
+  });
+  lease.reset();
+  EXPECT_EQ(cache.quarantined_blocks(), 0u);
+  {
+    util::ScopedFaultInjection chaos(2);
+    chaos.arm("integrity.kvshare.flip", rot_on_next_match());
+    EXPECT_EQ(cache.match(seq(12)), nullptr);
+  }
+  EXPECT_EQ(metrics.counter("integrity.repair.quarantine").value(), 2u);
+}
+
+TEST(PrefixCacheIntegrity, AbortStormUnderConcurrentChaosLeaksNothing) {
+  MemoryPool pool("host", 1 << 22);
+  runtime::KVBlockPool blocks(small_blocks(4), &pool);
+  integrity::IntegrityConfig iconfig;
+  iconfig.policy = integrity::VerifyPolicy::kAlways;
+  telemetry::MetricsRegistry metrics;
+  integrity::ChecksumRegistry registry(iconfig, &metrics);
+  PrefixCache cache(blocks, 1, &metrics, &registry);
 
   util::ScopedFaultInjection chaos(17);
   util::FaultSpec spec;
@@ -707,12 +799,7 @@ TEST(PrefixCacheIntegrity, AbortStormUnderConcurrentChaosLeaksNothing) {
   const auto worker = [&](std::int64_t base) {
     for (int i = 0; i < 150; ++i) {
       const auto tokens = seq(8 + (i % 3) * 4, base + (i % 5) * 1000);
-      auto inserted =
-          cache.insert(tokens, [&](std::int64_t offset, float* payload) {
-            for (std::size_t f = 0; f < config.payload_floats(); ++f) {
-              payload[f] = static_cast<float>(offset);
-            }
-          });
+      auto inserted = cache.insert(tokens);
       auto matched = cache.match(tokens);
       if (i % 16 == 0) cache.evict(1);
       // Aborted request: both leases drop unconsumed at scope end.

@@ -147,12 +147,12 @@ TEST(MemPool, PressureLevelTracksWatermarks) {
 
 // -- prefix cache as a pressure-relief citizen -----------------------------
 
-kvshare::PrefixCacheConfig accounting_cache(std::int64_t block_tokens,
-                                            std::size_t bytes_per_token) {
-  kvshare::PrefixCacheConfig config;
+runtime::KVBlockPoolConfig accounting_blocks(std::int64_t block_tokens,
+                                             std::size_t bytes_per_token) {
+  runtime::KVBlockPoolConfig config;
   config.block_tokens = block_tokens;
-  config.materialize = false;
-  config.bytes_per_token = bytes_per_token;
+  config.bytes_per_block =
+      bytes_per_token * static_cast<std::size_t>(block_tokens);
   return config;
 }
 
@@ -168,7 +168,8 @@ TEST(PrefixCachePressure, EvictsUnpinnedChainsInsteadOfThrowing) {
   // blocks so the charge succeeds where it would have thrown.
   runtime::MemoryPool pool("kv", 256);
   {
-    kvshare::PrefixCache cache(accounting_cache(4, 8), &pool, nullptr);
+    runtime::KVBlockPool blocks(accounting_blocks(4, 8), &pool);
+    kvshare::PrefixCache cache(blocks, 1, nullptr);
     cache.insert(seq(16, 0), nullptr);   // 4 blocks
     cache.insert(seq(16, 100), nullptr); // 4 more
     EXPECT_EQ(pool.used(), 256u);
@@ -182,7 +183,8 @@ TEST(PrefixCachePressure, EvictsUnpinnedChainsInsteadOfThrowing) {
 
 TEST(PrefixCachePressure, PinnedChainsSurvivePressure) {
   runtime::MemoryPool pool("kv", 256);
-  kvshare::PrefixCache cache(accounting_cache(4, 8), &pool, nullptr);
+  runtime::KVBlockPool blocks(accounting_blocks(4, 8), &pool);
+  kvshare::PrefixCache cache(blocks, 1, nullptr);
   auto pinned = cache.insert(seq(16, 0), nullptr);  // 4 blocks, pinned
   ASSERT_NE(pinned, nullptr);
   cache.insert(seq(16, 100), nullptr);  // 4 unpinned blocks
@@ -199,7 +201,8 @@ TEST(PrefixCachePressure, PinnedChainsSurvivePressure) {
 TEST(PrefixCachePressure, PinnedGaugeReturnsToBaseline) {
   telemetry::MetricsRegistry reg;
   runtime::MemoryPool pool("kv", 1024);
-  kvshare::PrefixCache cache(accounting_cache(4, 8), &pool, &reg);
+  runtime::KVBlockPool blocks(accounting_blocks(4, 8), &pool);
+  kvshare::PrefixCache cache(blocks, 1, &reg);
   EXPECT_EQ(cache.pinned_leases(), 0u);
   {
     auto a = cache.insert(seq(8, 0), nullptr);
@@ -730,7 +733,8 @@ TEST(ServeOverload, ConcurrentPoolTrafficWithCacheCallbackIsSafe) {
   // pressure callback and its own insert/match/evict churn.
   runtime::MemoryPool pool("kv", 1 << 16);
   pool.set_watermarks(overload::WatermarkConfig{});
-  kvshare::PrefixCache cache(accounting_cache(4, 16), &pool, nullptr);
+  runtime::KVBlockPool blocks(accounting_blocks(4, 16), &pool);
+  kvshare::PrefixCache cache(blocks, 1, nullptr);
 
   std::vector<std::thread> threads;
   for (int worker = 0; worker < 4; ++worker) {

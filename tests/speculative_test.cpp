@@ -40,20 +40,20 @@ TEST(Truncate, ContiguousCacheRollsBackAndRefundsPool) {
   EXPECT_THROW(cache.truncate(5), CheckError);
 }
 
-TEST(Truncate, PagedCacheFreesWholePages) {
+TEST(Truncate, PagedCacheFreesWholeBlocks) {
   MemoryPool mem("p", 1 << 20);
-  PagePool pool(8, 4, mem);
+  KVBlockPool pool({.block_tokens = 4, .hidden = 8}, &mem);
   PagedKVCache cache(pool);
   util::Xoshiro256 rng(2);
   for (int i = 0; i < 10; ++i) {
     cache.append(Tensor::uniform({8}, rng), Tensor::uniform({8}, rng));
   }
-  EXPECT_EQ(pool.pages_in_use(), 3u);  // ceil(10/4)
-  cache.truncate(4);                   // exactly one page's worth
+  EXPECT_EQ(pool.live_blocks(), 3u);  // ceil(10/4)
+  cache.truncate(4);                  // exactly one block's worth
   EXPECT_EQ(cache.length(), 4);
-  EXPECT_EQ(pool.pages_in_use(), 1u);
+  EXPECT_EQ(pool.live_blocks(), 1u);
   cache.truncate(0);
-  EXPECT_EQ(pool.pages_in_use(), 0u);
+  EXPECT_EQ(pool.live_blocks(), 0u);
 }
 
 // ----------------------------------------------------------- speculative --

@@ -489,11 +489,8 @@ TEST(OffloadManagerDisk, ReliefCallbackOrderingEvictsPrefixCacheFirst) {
 
   // Citizen 1: the prefix cache registers its relief callback at
   // construction (same order the Generator wires: cache before demotion).
-  kvshare::PrefixCacheConfig cache_config;
-  cache_config.block_tokens = 4;
-  cache_config.hidden = 8;
-  cache_config.num_layers = 2;
-  kvshare::PrefixCache cache(cache_config, &host, &cache_metrics);
+  runtime::KVBlockPool kv_blocks({.block_tokens = 4, .hidden = 8}, &host);
+  kvshare::PrefixCache cache(kv_blocks, /*layers=*/2, &cache_metrics);
 
   OffloadManager manager(device, host, 16, 16);
   BlockStore store(std::make_unique<MemoryBackend>(4096), small_config(4096),
@@ -517,16 +514,16 @@ TEST(OffloadManagerDisk, ReliefCallbackOrderingEvictsPrefixCacheFirst) {
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     tokens[i] = static_cast<std::int64_t>(i + 1);
   }
-  cache.insert(tokens, [](std::int64_t, float* payload) { *payload = 1.0f; });
+  cache.insert(tokens);
   ASSERT_GT(cache.blocks_in_use(), 0u);
 
   // Phase 1: a would-fail charge the cache alone can absorb. The second
   // (more expensive) citizen must not fire.
   const std::size_t headroom = host.available();
-  host.charge(headroom + 2 * cache_config.block_bytes());
+  host.charge(headroom + 2 * cache.node_bytes());
   EXPECT_GT(counter(cache_metrics, "kvshare.evicted_blocks"), 0u);
   EXPECT_EQ(manager.stats().disk_spills, 0u);
-  host.release(headroom + 2 * cache_config.block_bytes());
+  host.release(headroom + 2 * cache.node_bytes());
 
   // Phase 2: demand close to the whole pool — eviction cannot cover it, so
   // demotion must take over and spill weights to disk.
