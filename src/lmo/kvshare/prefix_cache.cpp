@@ -72,17 +72,37 @@ std::size_t PrefixCache::relieve_pressure(std::size_t bytes_needed) {
       .second;
 }
 
-void PrefixCache::count(const char* name, std::uint64_t n) {
-  if (metrics_ != nullptr && n > 0) metrics_->counter(name).add(n);
+void PrefixCache::check_generation_locked() {
+  const std::uint64_t generation = metrics_->generation();
+  if (generation == metrics_generation_) return;
+  metrics_generation_ = generation;
+  counters_.fill(nullptr);
+  blocks_in_use_ = bytes_in_use_ = pinned_gauge_ = nullptr;
 }
 
-void PrefixCache::update_gauges() {
+void PrefixCache::count_locked(Count which, std::uint64_t n) {
+  static constexpr const char* kCounterNames[kCounts] = {
+      "kvshare.hit_tokens", "kvshare.miss_tokens", "kvshare.bytes_saved",
+      "kvshare.inserted_blocks", "kvshare.evicted_blocks"};
+  if (metrics_ == nullptr || n == 0) return;
+  check_generation_locked();
+  telemetry::Counter*& counter = counters_[which];
+  if (counter == nullptr) counter = &metrics_->counter(kCounterNames[which]);
+  counter->add(n);
+}
+
+void PrefixCache::update_gauges_locked() {
   if (metrics_ == nullptr) return;
+  check_generation_locked();
+  if (pinned_gauge_ == nullptr) {
+    blocks_in_use_ = &metrics_->gauge("kvshare.blocks_in_use");
+    bytes_in_use_ = &metrics_->gauge("kvshare.bytes_in_use");
+    pinned_gauge_ = &metrics_->gauge("kvshare.pinned");
+  }
   const std::size_t held = held_locked();
-  metrics_->gauge("kvshare.blocks_in_use").set(static_cast<double>(held));
-  metrics_->gauge("kvshare.bytes_in_use")
-      .set(static_cast<double>(held * node_bytes_));
-  metrics_->gauge("kvshare.pinned").set(static_cast<double>(pinned_));
+  blocks_in_use_->set(static_cast<double>(held));
+  bytes_in_use_->set(static_cast<double>(held * node_bytes_));
+  pinned_gauge_->set(static_cast<double>(pinned_));
 }
 
 std::shared_ptr<PrefixLease> PrefixCache::make_lease(
@@ -230,12 +250,11 @@ std::shared_ptr<PrefixLease> PrefixCache::match(
   const std::uint64_t hit =
       lease == nullptr ? 0
                        : static_cast<std::uint64_t>(lease->matched_tokens());
-  update_gauges();
-  lock.unlock();
-  count("kvshare.hit_tokens", hit);
-  count("kvshare.miss_tokens", static_cast<std::uint64_t>(tokens.size()) - hit);
-  count("kvshare.bytes_saved",
-        hit * (node_bytes_ / static_cast<std::size_t>(block_tokens())));
+  update_gauges_locked();
+  count_locked(kHitTokens, hit);
+  count_locked(kMissTokens, static_cast<std::uint64_t>(tokens.size()) - hit);
+  count_locked(kBytesSaved,
+               hit * (node_bytes_ / static_cast<std::size_t>(block_tokens())));
   return lease;
 }
 
@@ -258,7 +277,7 @@ std::int64_t PrefixCache::allocate_node_locked() {
       return -1;
     }
     drop_node_locked(victim);
-    count("kvshare.evicted_blocks", 1);
+    count_locked(kEvictedBlocks, 1);
   }
   return handle;
 }
@@ -289,9 +308,8 @@ std::shared_ptr<PrefixLease> PrefixCache::insert(
     return handle;
   });
   auto lease = make_lease(chain);
-  update_gauges();
-  lock.unlock();
-  count("kvshare.inserted_blocks", fresh);
+  update_gauges_locked();
+  count_locked(kInsertedBlocks, fresh);
   return lease;
 }
 
@@ -311,9 +329,8 @@ std::pair<std::size_t, std::size_t> PrefixCache::evict_measured(
     freed += drop_node_locked(victim);
     ++evicted;
   }
-  update_gauges();
-  lock.unlock();
-  count("kvshare.evicted_blocks", evicted);
+  update_gauges_locked();
+  count_locked(kEvictedBlocks, evicted);
   return {evicted, freed};
 }
 
@@ -325,7 +342,7 @@ void PrefixCache::release(PrefixLease& lease) {
   --pinned_;
   // This may have been the last pin on a quarantined subtree.
   if (!quarantined_.empty()) reap_quarantined_locked();
-  update_gauges();
+  update_gauges_locked();
 }
 
 std::size_t PrefixCache::quarantined_blocks() const {

@@ -19,6 +19,7 @@
 // freed only after their last pin drops.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -158,20 +159,13 @@ class PrefixCache {
                                 std::memory_order_relaxed);
     }
     ~Guard() {
-      if (lock_.owns_lock()) clear();
-    }
-    void unlock() {
-      clear();
-      lock_.unlock();
-    }
-
-   private:
-    void clear() {
       cache_.lock_holder_.store(std::thread::id{},
                                 std::memory_order_relaxed);
     }
+
+   private:
     const PrefixCache& cache_;
-    std::unique_lock<std::mutex> lock_;
+    std::lock_guard<std::mutex> lock_;
   };
 
   void release(PrefixLease& lease);
@@ -195,7 +189,7 @@ class PrefixCache {
       std::size_t max_blocks, std::size_t bytes_wanted);
   std::shared_ptr<PrefixLease> make_lease(
       const std::vector<RadixTree::Node*>& chain);
-  void update_gauges();
+  void update_gauges_locked();
   /// One node's blocks in layer order as one span — the bytes its
   /// fingerprint covers. Valid until the next call.
   std::span<const float> gather_locked(std::int64_t handle);
@@ -211,7 +205,21 @@ class PrefixCache {
   /// No-op when called from a thread already inside a cache operation.
   std::size_t relieve_pressure(std::size_t bytes_needed);
 
-  void count(const char* name, std::uint64_t n);
+  /// kvshare.* counters, indexing kCounterNames and counters_.
+  enum Count : std::size_t {
+    kHitTokens,
+    kMissTokens,
+    kBytesSaved,
+    kInsertedBlocks,
+    kEvictedBlocks,
+    kCounts
+  };
+  /// Adds `n` (> 0 only: a counter appears in the registry on its first
+  /// event) through the cached handle, resolving it on first use.
+  void count_locked(Count which, std::uint64_t n);
+  /// Forgets every cached metric handle if the registry was reset() since
+  /// they were resolved.
+  void check_generation_locked();
 
   runtime::KVBlockPool& blocks_;
   const std::size_t layers_;
@@ -243,9 +251,15 @@ class PrefixCache {
     std::vector<std::int64_t> blocks;  ///< node handles
   };
   std::vector<Quarantined> quarantined_;
-  /// Looked up by name per operation (match/insert granularity), so a
-  /// registry reset() between runs never leaves dangling metric pointers.
   telemetry::MetricsRegistry* metrics_;
+  /// Handles into metrics_, resolved once and again only after a registry
+  /// reset() (a new generation), so an operation costs no name lookups.
+  /// Guarded by mutex_.
+  std::uint64_t metrics_generation_ = 0;
+  std::array<telemetry::Counter*, kCounts> counters_{};
+  telemetry::Gauge* blocks_in_use_ = nullptr;
+  telemetry::Gauge* bytes_in_use_ = nullptr;
+  telemetry::Gauge* pinned_gauge_ = nullptr;
 };
 
 }  // namespace lmo::kvshare

@@ -643,6 +643,9 @@ GenerationResult Generator::finish() {
   result.tokens_per_second = static_cast<double>(session.gen_len) *
                              static_cast<double>(session.prompts.size()) /
                              total;
+  // The last step's forward left the next layer-0 prefetch in flight;
+  // wait it out so the stats and the trace are final when they are read.
+  manager_->quiesce();
   result.offload = manager_->stats();
   for (const auto& cache : session.caches) {
     for (const auto& layer_cache : cache) {

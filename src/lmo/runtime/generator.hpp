@@ -273,6 +273,9 @@ class Generator {
   /// the prefix cache and every session KV cache.
   std::unique_ptr<integrity::ChecksumRegistry> integrity_;
   std::unique_ptr<Transformer> transformer_;
+  /// Declared after manager_, so it is destroyed (draining its queue)
+  /// first: a step leaves the next layer-0 prefetch queued, and that task
+  /// writes into the manager.
   std::unique_ptr<parallel::ThreadPool> prefetch_pool_;
   std::unique_ptr<parallel::ThreadPool> compute_pool_;
   /// Blocks of every paged sequence cache and of the prefix cache; set

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <iterator>
 
 #include "lmo/telemetry/trace.hpp"
 #include "lmo/tensor/ops.hpp"
@@ -24,6 +25,13 @@ telemetry::ScopedSpan task_span(const char* name) {
   return telemetry::ScopedSpan(telemetry::TraceRecorder::global(), name,
                                kSpanCategory);
 }
+
+// Every per-layer weight, in LayerWeights order. fetch_layer and the
+// next-layer prefetch walk this one list, so a prefetch stages exactly
+// what the following fetch consumes.
+constexpr const char* kLayerWeights[] = {
+    "wq", "wk", "wv", "wo", "w1", "w2",
+    "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta"};
 
 }  // namespace
 
@@ -110,16 +118,14 @@ Tensor Transformer::embed(std::span<const std::int64_t> tokens) {
 
 Transformer::LayerWeights Transformer::fetch_layer(std::int64_t layer) {
   LayerWeights w;
-  w.wq = manager_.fetch(weight_name(layer, "wq"));
-  w.wk = manager_.fetch(weight_name(layer, "wk"));
-  w.wv = manager_.fetch(weight_name(layer, "wv"));
-  w.wo = manager_.fetch(weight_name(layer, "wo"));
-  w.w1 = manager_.fetch(weight_name(layer, "w1"));
-  w.w2 = manager_.fetch(weight_name(layer, "w2"));
-  w.ln1_gamma = manager_.fetch(weight_name(layer, "ln1_gamma"));
-  w.ln1_beta = manager_.fetch(weight_name(layer, "ln1_beta"));
-  w.ln2_gamma = manager_.fetch(weight_name(layer, "ln2_gamma"));
-  w.ln2_beta = manager_.fetch(weight_name(layer, "ln2_beta"));
+  Tensor* const slots[] = {&w.wq,        &w.wk,       &w.wv,
+                           &w.wo,        &w.w1,       &w.w2,
+                           &w.ln1_gamma, &w.ln1_beta, &w.ln2_gamma,
+                           &w.ln2_beta};
+  static_assert(std::size(slots) == std::size(kLayerWeights));
+  for (std::size_t i = 0; i < std::size(slots); ++i) {
+    *slots[i] = manager_.fetch(weight_name(layer, kLayerWeights[i]));
+  }
   return w;
 }
 
@@ -301,10 +307,15 @@ void Transformer::forward(std::vector<Tensor>& states,
 
   KVViews views;
   for (std::int64_t layer = 0; layer < spec_.num_layers; ++layer) {
-    if (prefetch != nullptr && layer + 1 < spec_.num_layers) {
-      // Warm the next layer's host payloads concurrently with compute.
-      for (const char* kind : {"wq", "wk", "wv", "wo", "w1", "w2"}) {
-        (void)manager_.prefetch(weight_name(layer + 1, kind), *prefetch);
+    if (prefetch != nullptr) {
+      // Warm the next layer's host payloads concurrently with compute. The
+      // walk wraps: the last layer stages layer 0 for the next forward
+      // (the next decode step), so no step starts with a cold fetch. A
+      // staged entry is charged to the device pool like any other and is
+      // reclaimable by the degradation ladder.
+      const std::int64_t next = (layer + 1) % spec_.num_layers;
+      for (const char* kind : kLayerWeights) {
+        (void)manager_.prefetch(weight_name(next, kind), *prefetch);
       }
     }
     const LayerWeights w = fetch_layer(layer);

@@ -64,7 +64,8 @@ class Transformer {
   /// Run all layers over a batch of hidden-state matrices ([T_i, h]),
   /// appending every position to the caches. Layer-outer: weights are
   /// fetched once per layer for the whole batch; with `prefetch` non-null,
-  /// layer i+1's weights load asynchronously while layer i computes.
+  /// layer (i+1) mod num_layers loads asynchronously while layer i
+  /// computes — the last layer stages layer 0 for the next call.
   /// Consecutive sequences share a row group of at most max(64, max T_i)
   /// rows. Every row's result — state and cache — is bit-identical to a
   /// forward over that sequence alone: the GEMM kernel's summation order

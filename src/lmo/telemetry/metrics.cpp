@@ -271,6 +271,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   slots_.clear();
+  generation_.fetch_add(1, std::memory_order_release);
 }
 
 }  // namespace lmo::telemetry

@@ -114,7 +114,7 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Find-or-create. References stay valid for the registry's lifetime.
+  /// Find-or-create. References stay valid until the next reset().
   /// Throws CheckError on an ill-formed name or if `name` already exists
   /// with a different type.
   Counter& counter(const std::string& name);
@@ -124,8 +124,15 @@ class MetricsRegistry {
   std::size_t size() const;
   MetricsSnapshot snapshot() const;
 
-  /// Drop every metric (fresh-run semantics for reused registries).
+  /// Drop every metric (fresh-run semantics for reused registries). Every
+  /// Counter/Gauge/Histogram reference handed out before is invalidated.
   void reset();
+
+  /// Bumped by every reset(). A component that caches metric references
+  /// re-resolves them when this differs from the value it cached under.
+  std::uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
 
  private:
   struct Slot {
@@ -139,6 +146,7 @@ class MetricsRegistry {
 
   mutable std::mutex mutex_;
   std::map<std::string, Slot> slots_;
+  std::atomic<std::uint64_t> generation_{0};
 };
 
 }  // namespace lmo::telemetry

@@ -5,7 +5,13 @@
 #include <cstring>
 #include <vector>
 
+#include "lmo/tensor/ops_detail.hpp"
 #include "lmo/util/check.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define LMO_X86 1
+#endif
 
 namespace lmo::tensor {
 namespace {
@@ -16,11 +22,13 @@ void require_rank2(const Tensor& t, const char* name) {
                     t.shape().to_string());
 }
 
-// Register-tiled kernel for matmul_nt_blocked. Every output element is
+// Register-tiled kernels for matmul_nt_blocked. Every output element is
 // summed in one fixed order — start from 0.0f, add each k-block's partial
-// sum (itself accumulated from 0.0f in ascending k) — so the tiled and the
-// scalar paths produce bit-identical results. The tiles only change which
-// elements are in flight at once, never the order within one element.
+// sum (itself accumulated from 0.0f in ascending k) — so the scalar, SSE2
+// and AVX2 paths produce bit-identical results. The tiles only change
+// which elements are in flight at once, never the order within one
+// element. lmo_tensor builds with -ffp-contract=off, so no multiply-add
+// is ever fused behind the order's back.
 using v4sf = float __attribute__((vector_size(16)));
 
 constexpr std::int64_t kPanelCols = 8;  // B columns per packed panel
@@ -99,27 +107,10 @@ void small_m(const float* a, const float* b, float* c, std::int64_t m,
   }
 }
 
-}  // namespace
-
-Tensor matmul_nt_blocked(const Tensor& a, const Tensor& b,
-                         std::int64_t block) {
-  require_rank2(a, "matmul_nt_blocked lhs");
-  require_rank2(b, "matmul_nt_blocked rhs");
-  LMO_CHECK_GT(block, 0);
-  const std::int64_t m = a.shape()[0];
-  const std::int64_t k = a.shape()[1];
-  LMO_CHECK_EQ(b.shape()[1], k);
-  const std::int64_t n = b.shape()[0];
-
-  Tensor c = Tensor::zeros({m, n});
-  const float* pa = a.f32().data();
-  const float* pb = b.f32().data();
-  float* pc = c.f32().data();
-  if (m < kTileRows) {
-    small_m(pa, pb, pc, m, k, n, block);
-    return c;
-  }
-  // One panel: kPanelCols columns of B, transposed to [kb][kPanelCols].
+// SSE2 kernel: 4-row tiles over panels of 8 B columns, each panel packed
+// transposed to [kb][kPanelCols] once and reused by every row tile.
+void gemm_sse2(const float* a, const float* b, float* c, std::int64_t m,
+               std::int64_t k, std::int64_t n, std::int64_t block) {
   std::vector<float> panel(
       static_cast<std::size_t>(kPanelCols * std::min(block, k)));
   for (std::int64_t j0 = 0; j0 < n; j0 += kPanelCols) {
@@ -128,23 +119,176 @@ Tensor matmul_nt_blocked(const Tensor& a, const Tensor& b,
       const std::int64_t kb = std::min(block, k - k0);
       if (cols < kPanelCols) std::fill(panel.begin(), panel.end(), 0.0f);
       for (std::int64_t jj = 0; jj < cols; ++jj) {
-        const float* brow = pb + (j0 + jj) * k + k0;
+        const float* brow = b + (j0 + jj) * k + k0;
         for (std::int64_t kk = 0; kk < kb; ++kk) {
           panel[kk * kPanelCols + jj] = brow[kk];
         }
       }
       std::int64_t i = 0;
       for (; i + kTileRows <= m; i += kTileRows) {
-        tile<kTileRows>(pa + i * k + k0, k, panel.data(), kb, pc + i * n + j0,
+        tile<kTileRows>(a + i * k + k0, k, panel.data(), kb, c + i * n + j0,
                         n, cols);
       }
       for (; i < m; ++i) {
-        tile<1>(pa + i * k + k0, k, panel.data(), kb, pc + i * n + j0, n,
+        tile<1>(a + i * k + k0, k, panel.data(), kb, c + i * n + j0, n,
                 cols);
       }
     }
   }
+}
+
+#ifdef LMO_X86
+constexpr std::int64_t kWide = 8;  // A rows and B rows per AVX2 tile
+
+// AVX2 kernel: Aᵀ of 8 rows × one k-block is packed so that one ymm holds
+// column k of all 8 rows; B is read in place. For each group of 8 B rows,
+// accumulator jj collects Aᵀ[kk] · B[j0+jj][k0+kk] over the k-block (lane
+// r = C[i0+r][j0+jj]), then the 8×8 block is transposed and added into C.
+// Multiplies and adds stay separate instructions (no FMA) so each product
+// rounds exactly as in the scalar reference. Rows past m are zero lanes
+// and B rows past n re-read the last row; both are dropped on write-back.
+__attribute__((target("avx2")))
+void gemm_avx2(const float* a, const float* b, float* c, std::int64_t m,
+               std::int64_t k, std::int64_t n, std::int64_t block) {
+  std::vector<float> packed(
+      static_cast<std::size_t>(kWide * std::min(block, k)));
+  for (std::int64_t i0 = 0; i0 < m; i0 += kWide) {
+    const std::int64_t rows = std::min(kWide, m - i0);
+    for (std::int64_t k0 = 0; k0 < k; k0 += block) {
+      const std::int64_t kb = std::min(block, k - k0);
+      if (rows < kWide) std::fill(packed.begin(), packed.end(), 0.0f);
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const float* arow = a + (i0 + r) * k + k0;
+        for (std::int64_t kk = 0; kk < kb; ++kk) {
+          packed[static_cast<std::size_t>(kk * kWide + r)] = arow[kk];
+        }
+      }
+      for (std::int64_t j0 = 0; j0 < n; j0 += kWide) {
+        const std::int64_t cols = std::min(kWide, n - j0);
+        const float* brow[kWide] = {};
+        for (std::int64_t jj = 0; jj < kWide; ++jj) {
+          brow[jj] = b + std::min(j0 + jj, n - 1) * k + k0;
+        }
+        __m256 acc[kWide] = {};
+        for (std::int64_t kk = 0; kk < kb; ++kk) {
+          const __m256 at = _mm256_loadu_ps(packed.data() + kk * kWide);
+#pragma GCC unroll 8
+          for (std::int64_t jj = 0; jj < kWide; ++jj) {
+            acc[jj] = _mm256_add_ps(
+                acc[jj], _mm256_mul_ps(at, _mm256_broadcast_ss(brow[jj] + kk)));
+          }
+        }
+        // 8×8 transpose: row r of the result holds C[i0+r][j0 .. j0+7].
+        const __m256 t0 = _mm256_unpacklo_ps(acc[0], acc[1]);
+        const __m256 t1 = _mm256_unpackhi_ps(acc[0], acc[1]);
+        const __m256 t2 = _mm256_unpacklo_ps(acc[2], acc[3]);
+        const __m256 t3 = _mm256_unpackhi_ps(acc[2], acc[3]);
+        const __m256 t4 = _mm256_unpacklo_ps(acc[4], acc[5]);
+        const __m256 t5 = _mm256_unpackhi_ps(acc[4], acc[5]);
+        const __m256 t6 = _mm256_unpacklo_ps(acc[6], acc[7]);
+        const __m256 t7 = _mm256_unpackhi_ps(acc[6], acc[7]);
+        const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+        const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+        const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+        const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+        const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+        const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+        const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+        const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+        const __m256 out[kWide] = {
+            _mm256_permute2f128_ps(u0, u4, 0x20),
+            _mm256_permute2f128_ps(u1, u5, 0x20),
+            _mm256_permute2f128_ps(u2, u6, 0x20),
+            _mm256_permute2f128_ps(u3, u7, 0x20),
+            _mm256_permute2f128_ps(u0, u4, 0x31),
+            _mm256_permute2f128_ps(u1, u5, 0x31),
+            _mm256_permute2f128_ps(u2, u6, 0x31),
+            _mm256_permute2f128_ps(u3, u7, 0x31)};
+        float* cblock = c + i0 * n + j0;
+        if (cols == kWide) {
+          for (std::int64_t r = 0; r < rows; ++r) {
+            float* crow = cblock + r * n;
+            _mm256_storeu_ps(crow,
+                             _mm256_add_ps(_mm256_loadu_ps(crow), out[r]));
+          }
+        } else {
+          for (std::int64_t r = 0; r < rows; ++r) {
+            float sums[kWide];
+            _mm256_storeu_ps(sums, out[r]);
+            float* crow = cblock + r * n;
+            for (std::int64_t j = 0; j < cols; ++j) crow[j] += sums[j];
+          }
+        }
+      }
+    }
+  }
+}
+#endif
+
+using GemmFn = void (*)(const float*, const float*, float*, std::int64_t,
+                       std::int64_t, std::int64_t, std::int64_t);
+
+GemmFn kernel_fn(detail::GemmKernel kernel) {
+  if (kernel == detail::GemmKernel::kAvx2) {
+    LMO_CHECK_MSG(detail::cpu_has_avx2(),
+                  "AVX2 GEMM kernel on a CPU without AVX2");
+#ifdef LMO_X86
+    return gemm_avx2;
+#endif
+  }
+  return gemm_sse2;
+}
+
+// C = A · Bᵀ into a fresh zeroed C through `kernel`, after validating the
+// operands.
+Tensor run_gemm(const Tensor& a, const Tensor& b, std::int64_t block,
+                GemmFn kernel) {
+  const std::int64_t m = a.shape()[0];
+  const std::int64_t k = a.shape()[1];
+  const std::int64_t n = b.shape()[0];
+  Tensor c = Tensor::zeros({m, n});
+  if (m > 0 && n > 0) {
+    kernel(a.f32().data(), b.f32().data(), c.f32().data(), m, k, n, block);
+  }
   return c;
+}
+
+void check_operands(const Tensor& a, const Tensor& b, std::int64_t block) {
+  require_rank2(a, "matmul_nt_blocked lhs");
+  require_rank2(b, "matmul_nt_blocked rhs");
+  LMO_CHECK_GT(block, 0);
+  LMO_CHECK_EQ(b.shape()[1], a.shape()[1]);
+}
+
+}  // namespace
+
+namespace detail {
+
+bool cpu_has_avx2() {
+#ifdef LMO_X86
+  static const bool has = __builtin_cpu_supports("avx2");
+  return has;
+#else
+  return false;
+#endif
+}
+
+Tensor matmul_nt_with(GemmKernel kernel, const Tensor& a, const Tensor& b,
+                      std::int64_t block) {
+  check_operands(a, b, block);
+  return run_gemm(a, b, block, kernel_fn(kernel));
+}
+
+}  // namespace detail
+
+Tensor matmul_nt_blocked(const Tensor& a, const Tensor& b,
+                         std::int64_t block) {
+  check_operands(a, b, block);
+  if (a.shape()[0] < kTileRows) return run_gemm(a, b, block, small_m);
+  return run_gemm(a, b, block,
+                  kernel_fn(detail::cpu_has_avx2()
+                                ? detail::GemmKernel::kAvx2
+                                : detail::GemmKernel::kSse2));
 }
 
 Tensor add(const Tensor& a, const Tensor& b) {

@@ -17,8 +17,11 @@ namespace lmo::tensor {
 /// result is therefore independent of m and of how rows are batched — a
 /// row of a stacked [B·T, k] product is bit-identical to the same row
 /// computed alone — but equals a single-chain dot product only for
-/// k ≤ block. Calls with m ≥ 4 run a register-tiled kernel over packed
-/// 8-column panels of B; smaller calls skip packing.
+/// k ≤ block. Calls with m ≥ 4 run a register-tiled kernel: on CPUs with
+/// AVX2, 8 rows of Aᵀ packed per k-block against 8 B rows read in place
+/// (8 × 8 outputs per tile); otherwise SSE2 4-row tiles over packed
+/// 8-column panels of B. Both keep the order above, so the choice never
+/// shows in a result. Smaller calls skip packing.
 Tensor matmul_nt_blocked(const Tensor& a, const Tensor& b,
                          std::int64_t block = 64);
 

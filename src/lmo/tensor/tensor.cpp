@@ -5,7 +5,56 @@
 
 #include "lmo/util/check.hpp"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace lmo::tensor {
+namespace {
+
+// f16 → f32 for a whole buffer, bit-identical to f16_bits_to_f32 on every
+// pattern. Eight halves per step, branchless: widen to 32 bits, shift the
+// exponent and mantissa into place and rebias the exponent by 127 - 15.
+// Inf/NaN lanes get the rest of the way to exponent 255 (payload and
+// signalling bit kept, as in the scalar path). Zero/subnormal lanes are
+// built as 2^-14 · (1 + m/1024) and have 2^-14 subtracted, which leaves
+// exactly m · 2^-24.
+void f16_to_f32(const std::uint16_t* src, float* dst, std::size_t n) {
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  const __m128i zero = _mm_setzero_si128();
+  const __m128i magnitude = _mm_set1_epi32(0x7fff);
+  const __m128i sign = _mm_set1_epi32(0x8000);
+  const __m128i exp_mask = _mm_set1_epi32(0x7c00 << 13);
+  const __m128i rebias = _mm_set1_epi32((127 - 15) << 23);
+  const __m128i special_rebias = _mm_set1_epi32((128 - 16) << 23);
+  const __m128i exp_one = _mm_set1_epi32(1 << 23);
+  const __m128 subnormal_base = _mm_castsi128_ps(_mm_set1_epi32(113 << 23));
+  const auto widen = [&](__m128i h) {
+    const __m128i bits = _mm_slli_epi32(_mm_and_si128(h, magnitude), 13);
+    const __m128i exp = _mm_and_si128(bits, exp_mask);
+    __m128i o = _mm_add_epi32(bits, rebias);
+    o = _mm_add_epi32(
+        o, _mm_and_si128(_mm_cmpeq_epi32(exp, exp_mask), special_rebias));
+    const __m128i tiny = _mm_cmpeq_epi32(exp, zero);
+    const __m128i renormalized = _mm_castps_si128(_mm_sub_ps(
+        _mm_castsi128_ps(_mm_add_epi32(o, exp_one)), subnormal_base));
+    o = _mm_or_si128(_mm_and_si128(tiny, renormalized),
+                     _mm_andnot_si128(tiny, o));
+    return _mm_castsi128_ps(
+        _mm_or_si128(o, _mm_slli_epi32(_mm_and_si128(h, sign), 16)));
+  };
+  for (; i + 8 <= n; i += 8) {
+    const __m128i h =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
+    _mm_storeu_ps(dst + i, widen(_mm_unpacklo_epi16(h, zero)));
+    _mm_storeu_ps(dst + i + 4, widen(_mm_unpackhi_epi16(h, zero)));
+  }
+#endif
+  for (; i < n; ++i) dst[i] = f16_bits_to_f32(src[i]);
+}
+
+}  // namespace
 
 Tensor::Tensor(Shape shape, DType dtype)
     : shape_(shape),
@@ -111,9 +160,8 @@ Tensor Tensor::cast(DType target) const {
     auto* dst = reinterpret_cast<std::uint16_t*>(out.raw().data());
     for (std::size_t i = 0; i < n; ++i) dst[i] = f32_to_f16_bits(src[i]);
   } else {
-    const auto* src = reinterpret_cast<const std::uint16_t*>(storage_->data());
-    float* dst = reinterpret_cast<float*>(out.raw().data());
-    for (std::size_t i = 0; i < n; ++i) dst[i] = f16_bits_to_f32(src[i]);
+    f16_to_f32(reinterpret_cast<const std::uint16_t*>(storage_->data()),
+               reinterpret_cast<float*>(out.raw().data()), n);
   }
   return out;
 }

@@ -176,6 +176,29 @@ TEST(PrefixCache, MatchIsCappedBelowThePromptLength) {
   EXPECT_EQ(cache.match(seq(3)), nullptr);  // shorter than one block
 }
 
+TEST(PrefixCache, MetricsFollowARegistryReset) {
+  // The cache resolves its kvshare.* handles once; a registry reset()
+  // invalidates them, and the next operation must record into the fresh
+  // metrics rather than the dropped ones.
+  MemoryPool pool("host", 1 << 20);
+  runtime::KVBlockPool blocks(small_blocks(), &pool);
+  telemetry::MetricsRegistry metrics;
+  PrefixCache cache(blocks, 1, &metrics);
+  publish(cache, blocks, seq(8));
+  EXPECT_EQ(cache.match(seq(12))->matched_tokens(), 8);
+  EXPECT_EQ(metrics.counter("kvshare.hit_tokens").value(), 8u);
+  EXPECT_EQ(metrics.counter("kvshare.miss_tokens").value(), 4u);
+  EXPECT_EQ(metrics.counter("kvshare.inserted_blocks").value(), 2u);
+
+  metrics.reset();
+  EXPECT_EQ(cache.match(seq(8))->matched_tokens(), 4);
+  const auto snap = metrics.snapshot();
+  EXPECT_EQ(snap.counter("kvshare.hit_tokens"), 4u);
+  EXPECT_EQ(snap.counter("kvshare.miss_tokens"), 4u);
+  EXPECT_EQ(snap.find("kvshare.inserted_blocks"), nullptr);  // none since
+  EXPECT_EQ(snap.gauge("kvshare.blocks_in_use"), 2.0);
+}
+
 TEST(PrefixCache, PinnedChainsSurvivePressureAndBytesStayExact) {
   MemoryPool pool("host", 3 * 64);  // room for three blocks
   runtime::KVBlockPool blocks(small_blocks(), &pool);

@@ -6,6 +6,7 @@
 #include "matmul_reference.hpp"
 
 #include "lmo/tensor/ops.hpp"
+#include "lmo/tensor/ops_detail.hpp"
 #include "lmo/util/check.hpp"
 #include "lmo/util/rng.hpp"
 
@@ -41,19 +42,46 @@ TEST(Ops, MatmulNtIdentity) {
   }
 }
 
-// The tiled kernel is bit-identical to the scalar reference loop across
-// tile edges: row counts on both sides of the 4-row tile (and the unpacked
-// m < 4 path), k around the block width, n off the 8-column panel.
-TEST(Ops, MatmulNtBlockedMatchesReferenceBytewise) {
+// Every kernel behind matmul_nt_blocked, by name: the public entry point
+// (which picks one per call), the SSE2 kernel, and the AVX2 kernel.
+enum class Kernel { kDispatched, kSse2, kAvx2 };
+
+Tensor matmul_via(Kernel kernel, const Tensor& a, const Tensor& b,
+                  std::int64_t block = 64) {
+  switch (kernel) {
+    case Kernel::kSse2:
+      return detail::matmul_nt_with(detail::GemmKernel::kSse2, a, b, block);
+    case Kernel::kAvx2:
+      return detail::matmul_nt_with(detail::GemmKernel::kAvx2, a, b, block);
+    case Kernel::kDispatched:
+      break;
+  }
+  return matmul_nt_blocked(a, b, block);
+}
+
+class MatmulKernel : public ::testing::TestWithParam<Kernel> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == Kernel::kAvx2 && !detail::cpu_has_avx2()) {
+      GTEST_SKIP() << "CPU has no AVX2";
+    }
+  }
+};
+
+// Each kernel is bit-identical to the scalar reference loop across tile
+// edges: row counts on both sides of the 4- and 8-row tiles (and the
+// unpacked m < 4 path), k around the block width, n off the 8-column
+// panel and the 8-row B group.
+TEST_P(MatmulKernel, MatchesReferenceBytewise) {
   util::Xoshiro256 rng(21);
   for (std::int64_t block : {7, 32, 64}) {
-    for (std::int64_t m : {0, 1, 3, 4, 5, 8, 33, 256}) {
+    for (std::int64_t m : {0, 1, 3, 4, 5, 8, 9, 33, 256}) {
       for (std::int64_t k : {1, 63, 64, 65, 130}) {
-        for (std::int64_t n : {1, 7, 13, 30}) {
+        for (std::int64_t n : {1, 7, 8, 13, 30}) {
           const Tensor a = Tensor::normal({m, k}, rng, 1.0f);
           const Tensor b = Tensor::normal({n, k}, rng, 1.0f);
           const Tensor want = testing::reference_matmul_nt(a, b, block);
-          const Tensor got = matmul_nt_blocked(a, b, block);
+          const Tensor got = matmul_via(GetParam(), a, b, block);
           ASSERT_EQ(got.shape(), want.shape());
           EXPECT_TRUE(want.raw().empty() ||
                       std::memcmp(got.raw().data(), want.raw().data(),
@@ -66,12 +94,13 @@ TEST(Ops, MatmulNtBlockedMatchesReferenceBytewise) {
 }
 
 // Stacking rows never changes a row's result: the property batched decode
-// relies on.
-TEST(Ops, MatmulNtRowsIndependentOfBatch) {
+// relies on. A lone row goes through matmul_nt_blocked's m < 4 path, so
+// this also pins each wide kernel to the small-m order.
+TEST_P(MatmulKernel, RowsIndependentOfBatch) {
   util::Xoshiro256 rng(22);
   const Tensor a = Tensor::normal({9, 130}, rng, 1.0f);
   const Tensor b = Tensor::normal({21, 130}, rng, 1.0f);
-  const Tensor stacked = matmul_nt_blocked(a, b);
+  const Tensor stacked = matmul_via(GetParam(), a, b);
   for (std::int64_t i = 0; i < 9; ++i) {
     const Tensor alone = matmul_nt_blocked(slice_rows(a, i, i + 1), b);
     EXPECT_EQ(std::memcmp(alone.raw().data(),
@@ -80,6 +109,31 @@ TEST(Ops, MatmulNtRowsIndependentOfBatch) {
               0)
         << i;
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ops, MatmulKernel,
+                         ::testing::Values(Kernel::kDispatched, Kernel::kSse2,
+                                           Kernel::kAvx2),
+                         [](const ::testing::TestParamInfo<Kernel>& info) {
+                           switch (info.param) {
+                             case Kernel::kSse2:
+                               return "Sse2";
+                             case Kernel::kAvx2:
+                               return "Avx2";
+                             case Kernel::kDispatched:
+                               break;
+                           }
+                           return "Dispatched";
+                         });
+
+TEST(Ops, MatmulNtWithValidatesOperands) {
+  const Tensor a = Tensor::zeros({4, 3});
+  EXPECT_THROW(detail::matmul_nt_with(detail::GemmKernel::kSse2, a,
+                                      Tensor::zeros({4, 2})),
+               CheckError);
+  EXPECT_THROW(detail::matmul_nt_with(detail::GemmKernel::kSse2, a,
+                                      Tensor::zeros({4, 3}), 0),
+               CheckError);
 }
 
 TEST(Ops, MatmulNtBlockedValidatesBlock) {

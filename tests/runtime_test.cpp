@@ -3,6 +3,8 @@
 // transformer's numerics and the end-to-end generator.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "lmo/runtime/generator.hpp"
 #include "lmo/runtime/kv_cache.hpp"
 #include "lmo/runtime/mempool.hpp"
@@ -322,6 +324,36 @@ TEST(Generator, AsyncPrefetchKeepsResultsIdentical) {
   const auto r_async = async_gen.generate(prompts, 6);
   EXPECT_EQ(r_sync.tokens, r_async.tokens);
   EXPECT_GT(r_async.offload.staging_hits, 0u);
+}
+
+TEST(Generator, RingPrefetchServesEveryLaterFetchFromStaging) {
+  // Every layer is host-resident. The last layer of each forward stages
+  // layer 0 for the next one, so after the first forward (whose layer 0 is
+  // cold) no fetch waits on a synchronous transfer.
+  RuntimeConfig config = tiny_config();
+  config.prefetch_threads = 2;
+  auto gen = std::make_unique<Generator>(config);
+  gen->begin({{9, 8, 7}, {1, 2, 3, 4}}, 6);
+  const OffloadStats first = gen->manager().stats();
+  while (!gen->done()) gen->step();
+  const OffloadStats after = gen->manager().stats();
+  const std::uint64_t host_fetches = (after.fetches - first.fetches) -
+                                     (after.device_hits - first.device_hits);
+  EXPECT_GT(host_fetches, 0u);
+  EXPECT_EQ(after.staging_hits - first.staging_hits, host_fetches);
+  EXPECT_EQ(after.sync_fallbacks, 0u);
+  // finish() waits out the layer-0 prefetch the last step started, so its
+  // stats are final and the Generator can go away at once.
+  const GenerationResult result = gen->finish();
+  EXPECT_EQ(result.offload.host_transfers,
+            gen->manager().stats().host_transfers);
+  gen.reset();
+
+  // Torn down mid-session, with that prefetch possibly still running: the
+  // prefetch pool drains before the manager it writes into is destroyed.
+  Generator mid(config);
+  mid.begin({{5, 6, 7}}, 4);
+  mid.step();
 }
 
 TEST(Generator, HeadParallelAttentionBitIdentical) {
