@@ -249,11 +249,12 @@ struct ServeMetrics {
   std::vector<RequestOutcome> outcomes;  ///< per request, by id order
 };
 
-/// Simulate serving `requests` (sorted by arrival) on one engine running
-/// `policy` on `platform`. Deterministic.
+/// Simulate serving `requests` (sorted by arrival, each with `id` equal to
+/// its position) on one engine running `policy` on `platform`.
+/// Deterministic.
 ///
-/// Telemetry: the run records into a "serve.*" metrics namespace and the
-/// returned ServeMetrics is materialized from those registry reads. Pass
+/// Telemetry: the run records into a "serve.*" metrics namespace, and the
+/// returned ServeMetrics carries the same values the registry holds. Pass
 /// `metrics_out` (must be fresh — no prior "serve.*" entries) to keep the
 /// registry for export; pass `trace` (enabled) to capture per-request
 /// lifecycle spans and fault windows on the engine timeline (pid

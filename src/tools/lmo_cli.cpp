@@ -30,6 +30,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -113,7 +114,16 @@ model::Workload load_workload(const Args& args) {
   return w;
 }
 
-int cmd_models() {
+/// `--metrics-out FILE`: save `registry` as JSON and say so.
+void save_metrics(const Args& args, const telemetry::MetricsRegistry& registry,
+                  const char* what) {
+  const std::string path = args.get("metrics-out", "");
+  if (path.empty()) return;
+  registry.snapshot().save(path);
+  std::printf("wrote %s to %s\n", what, path.c_str());
+}
+
+int cmd_models(const Args&) {
   util::Table table({"model", "layers", "hidden", "mlp", "heads", "params",
                      "fp16 weights"});
   for (const auto& name : model::ModelSpec::known_names()) {
@@ -447,11 +457,7 @@ int cmd_serve(const Args& args) {
                 registry.gauge("parallel.adaptive.step_factor").value());
   }
 
-  const std::string metrics_out = args.get("metrics-out", "");
-  if (!metrics_out.empty()) {
-    registry.snapshot().save(metrics_out);
-    std::printf("wrote serve metrics to %s\n", metrics_out.c_str());
-  }
+  save_metrics(args, registry, "serve metrics");
   if (!trace_out.empty()) {
     trace_recorder.save(trace_out);
     std::printf("wrote request-lifecycle trace to %s\n", trace_out.c_str());
@@ -477,6 +483,118 @@ runtime::RuntimeConfig tiny_runtime_config(const Args& args) {
   return config;
 }
 
+using Tokens = std::vector<std::vector<std::int64_t>>;
+
+/// The prompt batch the tiny-runtime verbs generate from.
+const Tokens kTinyPrompts = {{1, 2, 3, 4}};
+
+constexpr const char* kFetchSite = "offload.fetch.transfer";
+constexpr const char* kPrefetchSite = "offload.prefetch.transfer";
+
+void print_tokens(const Tokens& tokens) {
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    std::printf("sequence %zu tokens:", i);
+    for (std::int64_t tok : tokens[i]) {
+      std::printf(" %lld", static_cast<long long>(tok));
+    }
+    std::printf("\n");
+  }
+}
+
+/// A drill's pass/fail report. Each check prints `label yes` or
+/// `label NO — why` (labels carry their own colon and alignment); each
+/// requirement that the drill exercised its path prints a warning when it
+/// did not. Both fold into the exit code.
+struct Verdict {
+  bool ok = true;
+
+  void check(const char* label, bool pass, const char* why,
+             const char* end = "\n") {
+    std::printf("%s %s%s%s", label, pass ? "yes" : "NO — ", pass ? "" : why,
+                end);
+    ok = ok && pass;
+  }
+  void require(bool exercised, const char* warning) {
+    if (!exercised) std::printf("WARNING: %s\n", warning);
+    ok = ok && exercised;
+  }
+  int exit_code() const { return ok ? 0 : 1; }
+};
+
+/// A fault site to arm, and the fault kind whose firings a drill reports.
+struct Arm {
+  std::string site;
+  util::FaultSpec spec;
+  util::FaultKind kind = util::FaultKind::kTransient;
+};
+
+/// What one drill generation produced: the tokens, how often each arm's
+/// fault kind fired, and the requested offload-registry counters (a
+/// lazily registered counter that never fired reads 0).
+struct DrillRun {
+  Tokens tokens;
+  std::vector<std::uint64_t> fired;
+  std::map<std::string, std::uint64_t> counters;
+
+  bool operator==(const DrillRun&) const = default;
+};
+
+/// Generate `batches` in turn on one fresh Generator, under fault
+/// injection seeded with `seed` and armed with `arms` (no arms: no
+/// injector at all).
+DrillRun run_armed(const runtime::RuntimeConfig& config,
+                   const std::vector<Tokens>& batches, std::int64_t gen_len,
+                   std::uint64_t seed = 0, const std::vector<Arm>& arms = {},
+                   const std::vector<std::string>& counters = {}) {
+  DrillRun run;
+  std::optional<util::ScopedFaultInjection> chaos;
+  if (!arms.empty()) {
+    chaos.emplace(seed);
+    for (const Arm& a : arms) chaos->arm(a.site, a.spec);
+  }
+  runtime::Generator gen(config);
+  for (const Tokens& prompts : batches) {
+    for (auto& tokens : gen.generate(prompts, gen_len).tokens) {
+      run.tokens.push_back(std::move(tokens));
+    }
+  }
+  for (const Arm& a : arms) run.fired.push_back(chaos->count(a.site, a.kind));
+  const auto snap = gen.manager().metrics().snapshot();
+  for (const std::string& name : counters) {
+    const auto* c = snap.find(name);
+    run.counters[name] = c != nullptr ? c->count : 0;
+  }
+  return run;
+}
+
+/// Run `body(registry, recorder)` twice on a fresh registry and an enabled
+/// recorder; returns whether the two metrics snapshots, and the two trace
+/// JSONs, matched byte for byte.
+template <typename Body>
+std::pair<bool, bool> run_twice(Body body) {
+  std::string metrics[2];
+  std::string traces[2];
+  for (int i = 0; i < 2; ++i) {
+    telemetry::MetricsRegistry reg;
+    telemetry::TraceRecorder rec;
+    rec.enable();
+    body(reg, rec);
+    metrics[i] = reg.snapshot().to_json();
+    traces[i] = rec.to_json();
+  }
+  return {metrics[0] == metrics[1], traces[0] == traces[1]};
+}
+
+/// Step a supervised generation to completion, journaling every step.
+Tokens run_supervised(recover::RecoveryManager& manager,
+                      runtime::Generator& gen) {
+  while (!gen.done()) {
+    gen.step();
+    manager.note_step(gen);
+  }
+  return gen.finish().tokens;
+}
+
 /// `lmo chaos --profile kill-resume`: the crash-recovery determinism drill.
 /// Reference run generates end-to-end under transient transfer faults; the
 /// second run is killed mid-decode (snapshot, then the Generator and the
@@ -489,22 +607,14 @@ int cmd_chaos_kill_resume(const Args& args) {
   const std::int64_t gen_len = args.get_int("len", 12);
   const std::string path = args.get("out", "lmo_kill_resume.ckpt");
   const auto config = tiny_runtime_config(args);
-  const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
 
   util::FaultSpec spec;
   spec.fail_probability = std::stod(args.get("rate", "0.05"));
-  constexpr const char* kFetchSite = "offload.fetch.transfer";
-  constexpr const char* kPrefetchSite = "offload.prefetch.transfer";
+  const std::vector<Arm> arms = {{kFetchSite, spec}, {kPrefetchSite, spec}};
 
   // Reference: one uninterrupted generation under chaos.
-  std::vector<std::vector<std::int64_t>> reference;
-  {
-    util::ScopedFaultInjection chaos(seed);
-    chaos.arm(kFetchSite, spec);
-    chaos.arm(kPrefetchSite, spec);
-    runtime::Generator gen(config);
-    reference = gen.generate(prompts, gen_len).tokens;
-  }
+  const Tokens reference =
+      run_armed(config, {kTinyPrompts}, gen_len, seed, arms).tokens;
 
   // "Crash": same chaos schedule, but the process dies halfway — snapshot,
   // then everything in scope (Generator, injector state) is destroyed.
@@ -512,10 +622,9 @@ int cmd_chaos_kill_resume(const Args& args) {
   std::size_t payload_bytes = 0;
   {
     util::ScopedFaultInjection chaos(seed);
-    chaos.arm(kFetchSite, spec);
-    chaos.arm(kPrefetchSite, spec);
+    for (const Arm& a : arms) chaos.arm(a.site, a.spec);
     runtime::Generator gen(config);
-    gen.begin(prompts, gen_len);
+    gen.begin(kTinyPrompts, gen_len);
     while (gen.step_index() < kill_at && !gen.done()) gen.step();
     payload_bytes = gen.snapshot(path);
   }
@@ -523,12 +632,11 @@ int cmd_chaos_kill_resume(const Args& args) {
   // Recovery: a fresh injector (same seed and arms — the checkpoint
   // fast-forwards each site's draw stream) and a fresh Generator resume
   // from the file and run to completion.
-  std::vector<std::vector<std::int64_t>> resumed;
+  Tokens resumed;
   std::int64_t resumed_from = 0;
   {
     util::ScopedFaultInjection chaos(seed);
-    chaos.arm(kFetchSite, spec);
-    chaos.arm(kPrefetchSite, spec);
+    for (const Arm& a : arms) chaos.arm(a.site, a.spec);
     runtime::Generator gen(config);
     gen.resume(path);
     resumed_from = gen.step_index();
@@ -546,11 +654,10 @@ int cmd_chaos_kill_resume(const Args& args) {
               static_cast<long long>(kill_at),
               static_cast<long long>(gen_len), path.c_str(), payload_bytes,
               static_cast<long long>(resumed_from));
-
-  const bool identical = resumed == reference;
-  std::printf("tokens identical to uninterrupted run: %s\n",
-              identical ? "yes" : "NO — checkpoint determinism bug");
-  return identical ? 0 : 1;
+  Verdict verdict;
+  verdict.check("tokens identical to uninterrupted run:",
+                resumed == reference, "checkpoint determinism bug");
+  return verdict.exit_code();
 }
 
 /// `lmo chaos --profile shared-prefix`: prefix-sharing determinism drill.
@@ -577,41 +684,24 @@ int cmd_chaos_shared_prefix(const Args& args) {
     p.insert(p.end(), tail);
     return p;
   };
-  const std::vector<std::vector<std::int64_t>> batch_a = {
-      with_suffix({101, 102, 103}), with_suffix({44, 45})};
-  const std::vector<std::vector<std::int64_t>> batch_b = {
-      with_suffix({7, 8, 9, 10}), with_suffix({101, 102, 99})};
+  const std::vector<Tokens> batches = {
+      {with_suffix({101, 102, 103}), with_suffix({44, 45})},
+      {with_suffix({7, 8, 9, 10}), with_suffix({101, 102, 99})}};
 
   util::FaultSpec fault;
   fault.fail_probability = std::stod(args.get("rate", "0.05"));
 
   // Clean reference: sharing off, no faults.
-  std::vector<std::vector<std::int64_t>> clean_a, clean_b;
-  {
-    runtime::Generator gen(config);
-    clean_a = gen.generate(batch_a, gen_len).tokens;
-    clean_b = gen.generate(batch_b, gen_len).tokens;
-  }
+  const Tokens clean = run_armed(config, batches, gen_len).tokens;
 
   // Chaos run: sharing on, transfer faults armed.
   config.prefix_share = true;
   config.kv_block_tokens = block_tokens;
-  std::uint64_t hit_tokens = 0;
-  std::uint64_t evicted = 0;
-  std::vector<std::vector<std::int64_t>> shared_a, shared_b;
-  {
-    util::ScopedFaultInjection chaos(seed);
-    chaos.arm("offload.fetch.transfer", fault);
-    chaos.arm("offload.prefetch.transfer", fault);
-    runtime::Generator gen(config);
-    shared_a = gen.generate(batch_a, gen_len).tokens;
-    shared_b = gen.generate(batch_b, gen_len).tokens;
-    const auto snap = gen.manager().metrics().snapshot();
-    if (const auto* c = snap.find("kvshare.hit_tokens")) hit_tokens = c->count;
-    if (const auto* c = snap.find("kvshare.evicted_blocks")) {
-      evicted = c->count;
-    }
-  }
+  const DrillRun shared = run_armed(
+      config, batches, gen_len, seed,
+      {{kFetchSite, fault}, {kPrefetchSite, fault}},
+      {"kvshare.hit_tokens", "kvshare.evicted_blocks"});
+  const std::uint64_t hit_tokens = shared.counters.at("kvshare.hit_tokens");
 
   std::printf("chaos profile 'shared-prefix' (seed %llu, fault rate "
               "%.0f%%) on %s, block %lld tokens\n",
@@ -621,17 +711,14 @@ int cmd_chaos_shared_prefix(const Args& args) {
   std::printf("batch B reused %llu prompt tokens from batch A's cache "
               "(%llu blocks evicted)\n",
               static_cast<unsigned long long>(hit_tokens),
-              static_cast<unsigned long long>(evicted));
-
-  const bool identical = shared_a == clean_a && shared_b == clean_b;
-  const bool reused = hit_tokens > 0;
-  std::printf("tokens identical to sharing-off fault-free run: %s\n",
-              identical ? "yes" : "NO — prefix-sharing determinism bug");
-  if (!reused) {
-    std::printf("WARNING: no prefix hits recorded — drill did not "
-                "exercise sharing\n");
-  }
-  return identical && reused ? 0 : 1;
+              static_cast<unsigned long long>(
+                  shared.counters.at("kvshare.evicted_blocks")));
+  Verdict verdict;
+  verdict.check("tokens identical to sharing-off fault-free run:",
+                shared.tokens == clean, "prefix-sharing determinism bug");
+  verdict.require(hit_tokens > 0, "no prefix hits recorded — drill did not "
+                                  "exercise sharing");
+  return verdict.exit_code();
 }
 
 /// `lmo chaos --profile bitflip`: the silent-corruption determinism drill.
@@ -657,7 +744,6 @@ int cmd_chaos_bitflip(const Args& args) {
   config.compute_threads = 0;
   config.integrity.policy = integrity::VerifyPolicy::kAlways;
   config.integrity.max_repair_attempts = args.get_int("repair-attempts", 8);
-  const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
 
   // Per-draw flip probabilities. The KV site draws once per row *read*
   // (hundreds per step, and every repair re-prefill re-reads them all), so
@@ -667,58 +753,24 @@ int cmd_chaos_bitflip(const Args& args) {
   weights_fault.flip_probability = std::stod(args.get("rate", "0.05"));
   util::FaultSpec kv_fault;
   kv_fault.flip_probability = std::stod(args.get("kv-rate", "0.005"));
-  constexpr const char* kWeightsFlip = "integrity.weights.flip";
-  constexpr const char* kKvFlip = "integrity.kv.flip";
+  const std::vector<Arm> arms = {
+      {"integrity.weights.flip", weights_fault, util::FaultKind::kBitFlip},
+      {"integrity.kv.flip", kv_fault, util::FaultKind::kBitFlip}};
+  const std::vector<std::string> counters = {
+      "integrity.verify.total", "integrity.verify.failures",
+      "integrity.repair.refetch", "integrity.repair.recompute",
+      "integrity.unrepairable"};
 
   // Clean reference: same config (verification armed), no injector.
-  std::vector<std::vector<std::int64_t>> clean;
-  {
-    runtime::Generator gen(config);
-    clean = gen.generate(prompts, gen_len).tokens;
-  }
-
-  struct DrillRun {
-    std::vector<std::vector<std::int64_t>> tokens;
-    std::uint64_t fired_weights = 0;
-    std::uint64_t fired_kv = 0;
-    std::uint64_t verified = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t refetch = 0;
-    std::uint64_t recompute = 0;
-    std::uint64_t unrepairable = 0;
-
-    bool operator==(const DrillRun& other) const {
-      return tokens == other.tokens &&
-             fired_weights == other.fired_weights &&
-             fired_kv == other.fired_kv && verified == other.verified &&
-             failures == other.failures && refetch == other.refetch &&
-             recompute == other.recompute &&
-             unrepairable == other.unrepairable;
-    }
-  };
-  const auto run_chaos = [&]() {
-    DrillRun r;
-    util::ScopedFaultInjection chaos(seed);
-    chaos.arm(kWeightsFlip, weights_fault);
-    chaos.arm(kKvFlip, kv_fault);
-    runtime::Generator gen(config);
-    r.tokens = gen.generate(prompts, gen_len).tokens;
-    r.fired_weights = chaos.count(kWeightsFlip, util::FaultKind::kBitFlip);
-    r.fired_kv = chaos.count(kKvFlip, util::FaultKind::kBitFlip);
-    const auto snap = gen.manager().metrics().snapshot();
-    const auto counter = [&snap](const char* name) -> std::uint64_t {
-      const auto* c = snap.find(name);
-      return c != nullptr ? c->count : 0;
-    };
-    r.verified = counter("integrity.verify.total");
-    r.failures = counter("integrity.verify.failures");
-    r.refetch = counter("integrity.repair.refetch");
-    r.recompute = counter("integrity.repair.recompute");
-    r.unrepairable = counter("integrity.unrepairable");
-    return r;
-  };
-  const auto a = run_chaos();
-  const auto b = run_chaos();
+  const Tokens clean = run_armed(config, {kTinyPrompts}, gen_len).tokens;
+  const DrillRun a =
+      run_armed(config, {kTinyPrompts}, gen_len, seed, arms, counters);
+  const DrillRun b =
+      run_armed(config, {kTinyPrompts}, gen_len, seed, arms, counters);
+  const std::uint64_t failures = a.counters.at("integrity.verify.failures");
+  const std::uint64_t refetch = a.counters.at("integrity.repair.refetch");
+  const std::uint64_t recompute = a.counters.at("integrity.repair.recompute");
+  const std::uint64_t unrepairable = a.counters.at("integrity.unrepairable");
 
   std::printf("chaos profile 'bitflip' (seed %llu, flip rate %.1f%% per "
               "fetch / %.2f%% per KV row) on %s, %s KV, verify=always\n",
@@ -728,37 +780,31 @@ int cmd_chaos_bitflip(const Args& args) {
               runtime::to_string(config.kv_flavor));
   std::printf("flips fired: %llu on weight fetches, %llu on KV read-backs "
               "| %llu loads verified\n",
-              static_cast<unsigned long long>(a.fired_weights),
-              static_cast<unsigned long long>(a.fired_kv),
-              static_cast<unsigned long long>(a.verified));
+              static_cast<unsigned long long>(a.fired[0]),
+              static_cast<unsigned long long>(a.fired[1]),
+              static_cast<unsigned long long>(
+                  a.counters.at("integrity.verify.total")));
   std::printf("repair ladder: %llu detected -> %llu weight re-fetches + "
               "%llu KV re-prefills, %llu unrepairable\n",
-              static_cast<unsigned long long>(a.failures),
-              static_cast<unsigned long long>(a.refetch),
-              static_cast<unsigned long long>(a.recompute),
-              static_cast<unsigned long long>(a.unrepairable));
+              static_cast<unsigned long long>(failures),
+              static_cast<unsigned long long>(refetch),
+              static_cast<unsigned long long>(recompute),
+              static_cast<unsigned long long>(unrepairable));
 
-  const std::uint64_t fired = a.fired_weights + a.fired_kv;
-  const bool identical = a.tokens == clean;
-  const bool reproducible = a == b;
-  const bool detected_all = a.failures == fired;
-  const bool accounted =
-      a.refetch + a.recompute == a.failures && a.unrepairable == 0;
-  std::printf("tokens identical to fault-free run: %s\n",
-              identical ? "yes" : "NO — silent corruption leaked");
-  std::printf("seeded runs identical (tokens + integrity counters): %s\n",
-              reproducible ? "yes" : "NO — integrity determinism bug");
-  std::printf("every fired flip detected: %s | repairs account for every "
-              "detection: %s\n",
-              detected_all ? "yes" : "NO — a verified region missed a flip",
-              accounted ? "yes" : "NO — repair accounting mismatch");
-  if (fired == 0) {
-    std::printf("WARNING: no bit flips fired — drill did not exercise the "
-                "integrity path\n");
-  }
-  return identical && reproducible && detected_all && accounted && fired > 0
-             ? 0
-             : 1;
+  const std::uint64_t fired = a.fired[0] + a.fired[1];
+  Verdict verdict;
+  verdict.check("tokens identical to fault-free run:", a.tokens == clean,
+                "silent corruption leaked");
+  verdict.check("seeded runs identical (tokens + integrity counters):",
+                a == b, "integrity determinism bug");
+  verdict.check("every fired flip detected:", failures == fired,
+                "a verified region missed a flip", " | ");
+  verdict.check("repairs account for every detection:",
+                refetch + recompute == failures && unrepairable == 0,
+                "repair accounting mismatch");
+  verdict.require(fired > 0, "no bit flips fired — drill did not exercise "
+                             "the integrity path");
+  return verdict.exit_code();
 }
 
 /// `lmo chaos --profile diskfault`: the three-tier determinism drill.
@@ -777,24 +823,14 @@ int cmd_chaos_diskfault(const Args& args) {
   runtime::RuntimeConfig config = tiny_runtime_config(args);
   config.prefetch_threads = 0;  // deterministic draw order
   config.compute_threads = 0;
-  const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
 
   // Reference: the whole model on the device+host tiers.
-  std::vector<std::vector<std::int64_t>> reference;
-  {
-    runtime::Generator gen(config);
-    reference = gen.generate(prompts, gen_len).tokens;
-  }
+  const Tokens reference = run_armed(config, {kTinyPrompts}, gen_len).tokens;
 
   // Disk tier on: the back half of the model spills to the block store.
   config.disk_layers = std::max<std::int64_t>(1, config.spec.num_layers / 2);
   config.disk_capacity = 64u << 20;
-
-  std::vector<std::vector<std::int64_t>> spilled;
-  {
-    runtime::Generator gen(config);
-    spilled = gen.generate(prompts, gen_len).tokens;
-  }
+  const Tokens spilled = run_armed(config, {kTinyPrompts}, gen_len).tokens;
 
   // Spill writes happen once per shard at registration (a few dozen), so
   // the torn-write rate sits well above the per-read error rate or the
@@ -804,43 +840,17 @@ int cmd_chaos_diskfault(const Args& args) {
   util::FaultSpec read_fault;
   read_fault.read_error_probability =
       std::stod(args.get("read-rate", "0.05"));
-
-  struct DrillRun {
-    std::vector<std::vector<std::int64_t>> tokens;
-    std::uint64_t torn = 0;
-    std::uint64_t read_errors = 0;
-    std::uint64_t write_retries = 0;
-    std::uint64_t read_retries = 0;
-
-    bool operator==(const DrillRun& other) const {
-      return tokens == other.tokens && torn == other.torn &&
-             read_errors == other.read_errors &&
-             write_retries == other.write_retries &&
-             read_retries == other.read_retries;
-    }
-  };
-  const auto run_chaos = [&]() {
-    DrillRun r;
-    util::ScopedFaultInjection chaos(seed);
-    chaos.arm(store::BlockStore::kWriteSite, write_fault);
-    chaos.arm(store::BlockStore::kReadSite, read_fault);
-    runtime::Generator gen(config);
-    r.tokens = gen.generate(prompts, gen_len).tokens;
-    r.torn = chaos.count(store::BlockStore::kWriteSite,
-                         util::FaultKind::kTornWrite);
-    r.read_errors = chaos.count(store::BlockStore::kReadSite,
-                                util::FaultKind::kReadError);
-    const auto snap = gen.manager().metrics().snapshot();
-    const auto counter = [&snap](const char* name) -> std::uint64_t {
-      const auto* c = snap.find(name);
-      return c != nullptr ? c->count : 0;
-    };
-    r.write_retries = counter("store.write.retries");
-    r.read_retries = counter("store.read.retries");
-    return r;
-  };
-  const auto a = run_chaos();
-  const auto b = run_chaos();
+  const std::vector<Arm> arms = {
+      {store::BlockStore::kWriteSite, write_fault,
+       util::FaultKind::kTornWrite},
+      {store::BlockStore::kReadSite, read_fault,
+       util::FaultKind::kReadError}};
+  const std::vector<std::string> counters = {"store.write.retries",
+                                             "store.read.retries"};
+  const DrillRun a =
+      run_armed(config, {kTinyPrompts}, gen_len, seed, arms, counters);
+  const DrillRun b =
+      run_armed(config, {kTinyPrompts}, gen_len, seed, arms, counters);
 
   std::printf("chaos profile 'diskfault' (seed %llu, torn-write rate "
               "%.0f%% / read-error rate %.0f%%) on %s, %lld of %lld "
@@ -853,26 +863,23 @@ int cmd_chaos_diskfault(const Args& args) {
               static_cast<long long>(config.spec.num_layers));
   std::printf("faults fired: %llu torn writes, %llu read errors | "
               "retries: %llu write, %llu read\n",
-              static_cast<unsigned long long>(a.torn),
-              static_cast<unsigned long long>(a.read_errors),
-              static_cast<unsigned long long>(a.write_retries),
-              static_cast<unsigned long long>(a.read_retries));
-
-  const bool transparent = spilled == reference;
-  const bool identical = a.tokens == reference;
-  const bool reproducible = a == b;
-  const std::uint64_t fired = a.torn + a.read_errors;
-  std::printf("disk-on tokens identical to disk-off run: %s\n",
-              transparent ? "yes" : "NO — spill changed the output");
-  std::printf("tokens identical under disk faults: %s\n",
-              identical ? "yes" : "NO — a fault leaked into the output");
-  std::printf("seeded runs identical (tokens + store counters): %s\n",
-              reproducible ? "yes" : "NO — store determinism bug");
-  if (fired == 0) {
-    std::printf("WARNING: no disk faults fired — drill did not exercise "
-                "the store's retry path\n");
-  }
-  return transparent && identical && reproducible && fired > 0 ? 0 : 1;
+              static_cast<unsigned long long>(a.fired[0]),
+              static_cast<unsigned long long>(a.fired[1]),
+              static_cast<unsigned long long>(
+                  a.counters.at("store.write.retries")),
+              static_cast<unsigned long long>(
+                  a.counters.at("store.read.retries")));
+  Verdict verdict;
+  verdict.check("disk-on tokens identical to disk-off run:",
+                spilled == reference, "spill changed the output");
+  verdict.check("tokens identical under disk faults:", a.tokens == reference,
+                "a fault leaked into the output");
+  verdict.check("seeded runs identical (tokens + store counters):", a == b,
+                "store determinism bug");
+  verdict.require(a.fired[0] + a.fired[1] > 0,
+                  "no disk faults fired — drill did not exercise the "
+                  "store's retry path");
+  return verdict.exit_code();
 }
 
 /// `lmo chaos --profile overload`: the overload-protection determinism
@@ -923,22 +930,14 @@ int cmd_chaos_overload(const Args& args) {
   config.overload.ladder.deescalate_steps = 4;
 
   const auto requests = serve::generate_burst_requests(profile, count, seed);
+  serve::ServeMetrics m;
+  const auto [metrics_identical, traces_identical] =
+      run_twice([&](telemetry::MetricsRegistry& reg,
+                    telemetry::TraceRecorder& rec) {
+        m = serve::simulate_serving(spec, policy, platform, requests, config,
+                                    &reg, &rec);
+      });
 
-  serve::ServeMetrics first_metrics;
-  const auto run = [&](serve::ServeMetrics* out) {
-    telemetry::MetricsRegistry reg;
-    telemetry::TraceRecorder rec;
-    rec.enable();
-    const auto m = serve::simulate_serving(spec, policy, platform, requests,
-                                           config, &reg, &rec);
-    if (out != nullptr) *out = m;
-    return std::pair<std::string, std::string>(reg.snapshot().to_json(),
-                                               rec.to_json());
-  };
-  const auto a = run(&first_metrics);
-  const auto b = run(nullptr);
-
-  const serve::ServeMetrics& m = first_metrics;
   std::printf("chaos profile 'overload' (seed %llu) on %s: %lld requests, "
               "burst %.0f req/s, KV pool %s\n",
               static_cast<unsigned long long>(seed), spec.name.c_str(),
@@ -952,25 +951,17 @@ int cmd_chaos_overload(const Args& args) {
               m.rejected, m.demoted_sessions, m.overload_preemptions);
   std::printf("goodput %.2f req/s | SLO attainment %.0f%% | %zu completed\n",
               m.request_goodput, m.slo_attainment * 100.0, m.completed);
-
-  const bool metrics_identical = a.first == b.first;
-  const bool traces_identical = a.second == b.second;
-  const bool escalated = m.overload_escalations > 0;
-  const bool degraded = m.shed + m.rejected > 0;
-  std::printf("metrics snapshots byte-identical: %s\n",
-              metrics_identical ? "yes" : "NO — overload determinism bug");
-  std::printf("overload traces byte-identical:   %s\n",
-              traces_identical ? "yes" : "NO — overload determinism bug");
-  if (!escalated) {
-    std::printf("WARNING: ladder never escalated — drill did not exercise "
-                "overload\n");
-  }
-  if (!degraded) {
-    std::printf("WARNING: nothing was shed or rejected — drill did not "
-                "exercise load shedding\n");
-  }
-  return metrics_identical && traces_identical && escalated && degraded ? 0
-                                                                        : 1;
+  Verdict verdict;
+  verdict.check("metrics snapshots byte-identical:", metrics_identical,
+                "overload determinism bug");
+  verdict.check("overload traces byte-identical:  ", traces_identical,
+                "overload determinism bug");
+  verdict.require(m.overload_escalations > 0,
+                  "ladder never escalated — drill did not exercise overload");
+  verdict.require(m.shed + m.rejected > 0,
+                  "nothing was shed or rejected — drill did not exercise "
+                  "load shedding");
+  return verdict.exit_code();
 }
 
 /// `lmo chaos --profile adaptive`: the adaptive-parallelism determinism
@@ -1015,23 +1006,12 @@ int cmd_chaos_adaptive(const Args& args) {
   aconfig.enabled = true;
 
   parallel::AdaptiveSimResult sim_result;
-  const auto run = [&](parallel::AdaptiveSimResult* out) {
-    telemetry::MetricsRegistry reg;
-    telemetry::TraceRecorder rec;
-    rec.enable();
-    const auto r = parallel::simulate_adaptive(believed, truth, aconfig,
-                                               windows, &reg, &rec);
-    if (out != nullptr) *out = r;
-    return std::pair<std::string, std::string>(reg.snapshot().to_json(),
-                                               rec.to_json());
-  };
-  const auto a = run(&sim_result);
-  const auto b = run(nullptr);
-  const bool metrics_identical = a.first == b.first;
-  const bool traces_identical = a.second == b.second;
-  const bool replanned = sim_result.applied > 0;
-  const bool no_regression =
-      sim_result.adaptive_t_gen <= sim_result.static_t_gen * 1.0001;
+  const auto [metrics_identical, traces_identical] =
+      run_twice([&](telemetry::MetricsRegistry& reg,
+                    telemetry::TraceRecorder& rec) {
+        sim_result = parallel::simulate_adaptive(believed, truth, aconfig,
+                                                 windows, &reg, &rec);
+      });
 
   std::printf("chaos profile 'adaptive' on %s: believed copy bw %.1f "
               "GB/s/thread, true %.1f\n",
@@ -1041,42 +1021,33 @@ int cmd_chaos_adaptive(const Args& args) {
               "adaptive (%d applied, %d reverted)\n",
               windows, sim_result.static_t_gen, sim_result.adaptive_t_gen,
               sim_result.applied, sim_result.reverted);
-  std::printf("metrics snapshots byte-identical: %s\n",
-              metrics_identical ? "yes" : "NO — adaptive determinism bug");
-  std::printf("replan traces byte-identical:     %s\n",
-              traces_identical ? "yes" : "NO — adaptive determinism bug");
+  Verdict verdict;
+  verdict.check("metrics snapshots byte-identical:", metrics_identical,
+                "adaptive determinism bug");
+  verdict.check("replan traces byte-identical:    ", traces_identical,
+                "adaptive determinism bug");
 
   // Part 2: the real runtime. Same prompts, controller on/on/off.
   runtime::RuntimeConfig rconfig = tiny_runtime_config(args);
   const std::int64_t gen_len = args.get_int("len", 12);
   rconfig.adaptive.enabled = true;
   rconfig.adaptive.window_steps = 3;
-  const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
-  const auto generate = [&](const runtime::RuntimeConfig& c) {
-    runtime::Generator gen(c);
-    return gen.generate(prompts, gen_len).tokens;
-  };
-  const auto adaptive_1 = generate(rconfig);
-  const auto adaptive_2 = generate(rconfig);
+  const Tokens adaptive_1 = run_armed(rconfig, {kTinyPrompts}, gen_len).tokens;
+  const Tokens adaptive_2 = run_armed(rconfig, {kTinyPrompts}, gen_len).tokens;
   rconfig.adaptive.enabled = false;
-  const auto control_off = generate(rconfig);
-  const bool runs_identical = adaptive_1 == adaptive_2;
-  const bool tokens_unaffected = adaptive_1 == control_off;
-  std::printf("runtime tokens identical across adaptive runs: %s\n",
-              runs_identical ? "yes" : "NO — adaptive determinism bug");
-  std::printf("runtime tokens identical with controller off: %s\n",
-              tokens_unaffected ? "yes" : "NO — controller perturbed tokens");
-  if (!replanned) {
-    std::printf("WARNING: controller never applied a re-plan — drill did "
-                "not exercise adaptation\n");
-  }
-  if (!no_regression) {
-    std::printf("WARNING: adaptive t_gen regressed past the static plan\n");
-  }
-  return metrics_identical && traces_identical && replanned &&
-                 no_regression && runs_identical && tokens_unaffected
-             ? 0
-             : 1;
+  const Tokens control_off =
+      run_armed(rconfig, {kTinyPrompts}, gen_len).tokens;
+  verdict.check("runtime tokens identical across adaptive runs:",
+                adaptive_1 == adaptive_2, "adaptive determinism bug");
+  verdict.check("runtime tokens identical with controller off:",
+                adaptive_1 == control_off, "controller perturbed tokens");
+  verdict.require(sim_result.applied > 0,
+                  "controller never applied a re-plan — drill did not "
+                  "exercise adaptation");
+  verdict.require(
+      sim_result.adaptive_t_gen <= sim_result.static_t_gen * 1.0001,
+      "adaptive t_gen regressed past the static plan");
+  return verdict.exit_code();
 }
 
 /// `lmo checkpoint --verify FILE`: validate a checkpoint without restoring
@@ -1145,10 +1116,9 @@ int cmd_checkpoint(const Args& args) {
   const std::int64_t at =
       std::max<std::int64_t>(1, args.get_int("at", gen_len / 2));
   const auto config = tiny_runtime_config(args);
-  const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
 
   runtime::Generator gen(config);
-  gen.begin(prompts, gen_len);
+  gen.begin(kTinyPrompts, gen_len);
   while (gen.step_index() < at && !gen.done()) gen.step();
   const std::size_t payload_bytes = gen.snapshot(out);
 
@@ -1180,25 +1150,12 @@ int cmd_resume(const Args& args) {
   gen.resume(from);
   while (!gen.done()) gen.step();
   const auto result = gen.finish();
-
-  for (std::size_t i = 0; i < result.tokens.size(); ++i) {
-    std::printf("sequence %zu tokens:", i);
-    for (std::int64_t tok : result.tokens[i]) {
-      std::printf(" %lld", static_cast<long long>(tok));
-    }
-    std::printf("\n");
-  }
+  print_tokens(result.tokens);
   std::printf("resumed run: %.1f tok/s (%lld tokens finished after "
               "restore)\n",
               result.tokens_per_second,
               static_cast<long long>(meta.gen_len - meta.produced));
-
-  const std::string metrics_out = args.get("metrics-out", "");
-  if (!metrics_out.empty()) {
-    gen.manager().metrics().snapshot().save(metrics_out);
-    std::printf("wrote resume-run offload metrics to %s\n",
-                metrics_out.c_str());
-  }
+  save_metrics(args, gen.manager().metrics(), "resume-run offload metrics");
   return 0;
 }
 
@@ -1220,23 +1177,8 @@ int cmd_recover(const Args& args) {
               static_cast<unsigned long long>(session.truncated_bytes),
               static_cast<unsigned long long>(session.stale_payloads),
               session.replay_seconds * 1e3);
-  while (!gen.done()) {
-    gen.step();
-    manager.note_step(gen);
-  }
-  const auto result = gen.finish();
-  for (std::size_t i = 0; i < result.tokens.size(); ++i) {
-    std::printf("sequence %zu tokens:", i);
-    for (std::int64_t tok : result.tokens[i]) {
-      std::printf(" %lld", static_cast<long long>(tok));
-    }
-    std::printf("\n");
-  }
-  const std::string metrics_out = args.get("metrics-out", "");
-  if (!metrics_out.empty()) {
-    gen.manager().metrics().snapshot().save(metrics_out);
-    std::printf("wrote recovery-run metrics to %s\n", metrics_out.c_str());
-  }
+  print_tokens(run_supervised(manager, gen));
+  save_metrics(args, gen.manager().metrics(), "recovery-run metrics");
   return 0;
 }
 
@@ -1261,20 +1203,16 @@ int cmd_chaos_crash(const Args& args) {
   config.spill_block_bytes = 4096;
   config.prefetch_threads = 0;
   config.compute_threads = 0;
-  const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
 
-  // Reference: one uninterrupted supervised run.
-  std::vector<std::vector<std::int64_t>> reference;
-  {
+  // One uninterrupted supervised run: the reference, and what each child
+  // re-runs with a kill armed.
+  const auto supervised_run = [&] {
     recover::RecoveryManager manager({dir});
     auto gen = manager.start(config);
-    gen->begin(prompts, gen_len);
-    while (!gen->done()) {
-      gen->step();
-      manager.note_step(*gen);
-    }
-    reference = gen->finish().tokens;
-  }
+    gen->begin(kTinyPrompts, gen_len);
+    return run_supervised(manager, *gen);
+  };
+  const Tokens reference = supervised_run();
 
   const std::vector<std::string> sites = {
       recover::kJournalAppendSite,
@@ -1297,14 +1235,7 @@ int cmd_chaos_crash(const Args& args) {
         spec.crash_at_op = at;
         chaos.arm(site, spec);
         try {
-          recover::RecoveryManager manager({dir});
-          auto gen = manager.start(config);
-          gen->begin(prompts, gen_len);
-          while (!gen->done()) {
-            gen->step();
-            manager.note_step(*gen);
-          }
-          gen->finish();
+          supervised_run();
         } catch (...) {
           ::_exit(3);
         }
@@ -1328,13 +1259,8 @@ int cmd_chaos_crash(const Args& args) {
       recover::RecoveryManager manager({dir});
       recover::RecoveredSession session = manager.recover(&config);
       runtime::Generator& gen = *session.generator;
-      if (!session.resumed) gen.begin(prompts, gen_len);
-      while (!gen.done()) {
-        gen.step();
-        manager.note_step(gen);
-      }
-      const auto tokens = gen.finish().tokens;
-      const bool identical = tokens == reference;
+      if (!session.resumed) gen.begin(kTinyPrompts, gen_len);
+      const bool identical = run_supervised(manager, gen) == reference;
       std::printf("site %-24s op %d: killed, recovered at epoch %llu "
                   "(%s, %llu orphan block(s)) -> tokens %s\n",
                   site.c_str(), at,
@@ -1342,11 +1268,7 @@ int cmd_chaos_crash(const Args& args) {
                   session.resumed ? "resumed" : "fresh start",
                   static_cast<unsigned long long>(session.orphan_blocks),
                   identical ? "identical" : "DIVERGED");
-      if (identical) {
-        ++recovered_ok;
-      } else {
-        ++failures;
-      }
+      (identical ? recovered_ok : failures) += 1;
     }
   }
   std::printf("chaos profile 'crash' (seed %llu): %d kill(s), %d recovered "
@@ -1360,85 +1282,53 @@ int cmd_chaos_crash(const Args& args) {
   return failures == 0 ? 0 : 1;
 }
 
-int cmd_chaos(const Args& args) {
-  // Run real generation under a named fault profile and report how the
-  // recovery machinery absorbed it. The robustness contract: faults perturb
-  // timing, never tokens (except `oom`, whose degradation ladder lowers
-  // weight precision by design).
+/// `lmo chaos --profile flaky-pcie|congested|dead-prefetch|oom`: real
+/// generation under a transfer or allocation fault profile, reporting how
+/// the recovery machinery absorbed it. The robustness contract: faults
+/// perturb timing, never tokens (except `oom`, whose degradation ladder
+/// lowers weight precision by design).
+int cmd_chaos_faults(const Args& args) {
   const std::string profile = args.get("profile", "flaky-pcie");
-  if (profile == "kill-resume") return cmd_chaos_kill_resume(args);
-  if (profile == "shared-prefix") return cmd_chaos_shared_prefix(args);
-  if (profile == "bitflip") return cmd_chaos_bitflip(args);
-  if (profile == "diskfault") return cmd_chaos_diskfault(args);
-  if (profile == "overload") return cmd_chaos_overload(args);
-  if (profile == "adaptive") return cmd_chaos_adaptive(args);
-  if (profile == "crash") return cmd_chaos_crash(args);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
   const std::int64_t gen_len = args.get_int("len", 12);
-
   runtime::RuntimeConfig config = tiny_runtime_config(args);
-  const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
 
-  constexpr const char* kFetchSite = "offload.fetch.transfer";
-  constexpr const char* kPrefetchSite = "offload.prefetch.transfer";
-  struct Armed {
-    std::string site;
-    util::FaultSpec spec;
-  };
-  std::vector<Armed> arms;
+  std::vector<Arm> arms;
   bool tokens_must_match = true;
+  util::FaultSpec spec;
   if (profile == "flaky-pcie") {
     // Transient transfer failures on every host->device path.
-    util::FaultSpec spec;
     spec.fail_probability = std::stod(args.get("rate", "0.05"));
-    arms.push_back({kFetchSite, spec});
-    arms.push_back({kPrefetchSite, spec});
+    arms = {{kFetchSite, spec}, {kPrefetchSite, spec}};
   } else if (profile == "congested") {
     // Latency spikes plus one hard bandwidth-degradation window.
-    util::FaultSpec spec;
     spec.latency_probability = 0.2;
     spec.latency_seconds = 2e-4;
     spec.window_begin = 8;
     spec.window_end = 24;
-    arms.push_back({kFetchSite, spec});
+    arms = {{kFetchSite, spec}};
   } else if (profile == "dead-prefetch") {
     // Async loads always die; fetches must fall back synchronously.
     config.prefetch_threads = 2;
-    util::FaultSpec spec;
     spec.fail_probability = 1.0;
-    arms.push_back({kPrefetchSite, spec});
-  } else if (profile == "oom") {
-    // Host pool denies the first allocations: registration re-quantizes.
-    // Start at fp16 so the ladder has two rungs (8-bit, 4-bit) to absorb
-    // the denials with.
-    config.weight_bits = 16;
-    util::FaultSpec spec;
-    spec.alloc_failures = args.get_int("denials", 2);
-    arms.push_back({"pool.host.charge", spec});
-    tokens_must_match = false;  // lower precision changes the tokens
+    arms = {{kPrefetchSite, spec}};
   } else {
-    std::fprintf(stderr,
-                 "unknown chaos profile: %s\n"
-                 "profiles: flaky-pcie [--rate P], congested, "
-                 "dead-prefetch, oom [--denials N], "
-                 "bitflip [--rate P] [--repair-attempts N], "
-                 "kill-resume [--rate P] [--kv dense|paged|window], "
-                 "shared-prefix [--rate P] [--kv dense|paged] "
-                 "[--kv-block-tokens N], "
-                 "overload [--burst-rate R] [--kv-pool-kb N], "
-                 "adaptive [--windows N], "
-                 "crash [--ops N] [--dir D]\n",
-                 profile.c_str());
-    return 2;
+    // oom: the host pool denies the first allocations and registration
+    // re-quantizes. Start at fp16 so the ladder has two rungs (8-bit,
+    // 4-bit) to absorb the denials with.
+    config.weight_bits = 16;
+    spec.alloc_failures = args.get_int("denials", 2);
+    arms = {{"pool.host.charge", spec}};
+    tokens_must_match = false;  // lower precision changes the tokens
   }
 
   runtime::Generator clean_gen(config);
-  const auto clean = clean_gen.generate(prompts, gen_len);
+  const auto clean = clean_gen.generate(kTinyPrompts, gen_len);
 
   util::ScopedFaultInjection chaos(seed);
-  for (const auto& a : arms) chaos.arm(a.site, a.spec);
+  for (const Arm& a : arms) chaos.arm(a.site, a.spec);
   runtime::Generator chaos_gen(config);
-  const auto faulted = chaos_gen.generate(prompts, gen_len);
+  const auto faulted = chaos_gen.generate(kTinyPrompts, gen_len);
 
   std::printf("chaos profile '%s' (seed %llu) on %s, %lld tokens\n\n",
               profile.c_str(), static_cast<unsigned long long>(seed),
@@ -1446,7 +1336,7 @@ int cmd_chaos(const Args& args) {
               static_cast<long long>(gen_len));
 
   util::Table injected({"site", "kind", "fired"});
-  for (const auto& a : arms) {
+  for (const Arm& a : arms) {
     for (auto kind : {util::FaultKind::kTransient, util::FaultKind::kLatency,
                       util::FaultKind::kAllocFailure}) {
       const auto n = chaos.count(a.site, kind);
@@ -1473,24 +1363,66 @@ int cmd_chaos(const Args& args) {
 
   std::printf("\nthroughput: %.1f tok/s clean -> %.1f tok/s under chaos\n",
               clean.tokens_per_second, faulted.tokens_per_second);
-
-  const std::string metrics_out = args.get("metrics-out", "");
-  if (!metrics_out.empty()) {
-    chaos_gen.manager().metrics().snapshot().save(metrics_out);
-    std::printf("wrote chaos-run offload metrics to %s\n",
-                metrics_out.c_str());
-  }
+  save_metrics(args, chaos_gen.manager().metrics(),
+               "chaos-run offload metrics");
 
   const bool identical = faulted.tokens == clean.tokens;
-  if (tokens_must_match) {
-    std::printf("tokens identical to fault-free run: %s\n",
-                identical ? "yes" : "NO — robustness bug");
-    return identical ? 0 : 1;
+  if (!tokens_must_match) {
+    std::printf("tokens %s fault-free run (degradation ladder re-quantized "
+                "weights; divergence is expected)\n",
+                identical ? "identical to" : "diverge from");
+    return 0;
   }
-  std::printf("tokens %s fault-free run (degradation ladder re-quantized "
-              "weights; divergence is expected)\n",
-              identical ? "identical to" : "diverge from");
-  return 0;
+  Verdict verdict;
+  verdict.check("tokens identical to fault-free run:", identical,
+                "robustness bug");
+  return verdict.exit_code();
+}
+
+/// Every `lmo chaos --profile` drill, with the options it reads beyond
+/// --seed, --len and --metrics-out.
+struct ChaosProfile {
+  const char* name;
+  int (*run)(const Args&);
+  const char* options;
+};
+
+constexpr ChaosProfile kChaosProfiles[] = {
+    {"flaky-pcie", cmd_chaos_faults, "[--rate P]"},
+    {"congested", cmd_chaos_faults, ""},
+    {"dead-prefetch", cmd_chaos_faults, ""},
+    {"oom", cmd_chaos_faults, "[--denials N]"},
+    {"bitflip", cmd_chaos_bitflip,
+     "[--rate P] [--kv-rate P] [--repair-attempts N]"},
+    {"diskfault", cmd_chaos_diskfault, "[--rate P] [--read-rate P]"},
+    {"kill-resume", cmd_chaos_kill_resume,
+     "[--rate P] [--kv dense|paged|window]"},
+    {"shared-prefix", cmd_chaos_shared_prefix,
+     "[--rate P] [--kv dense|paged] [--kv-block-tokens N]"},
+    {"overload", cmd_chaos_overload, "[--burst-rate R] [--kv-pool-kb N]"},
+    {"adaptive", cmd_chaos_adaptive, "[--windows N]"},
+    {"crash", cmd_chaos_crash, "[--ops N] [--dir D]"},
+};
+
+/// "name [options], ..." over kChaosProfiles, for usage messages.
+std::string chaos_profiles_usage() {
+  std::string out;
+  for (const ChaosProfile& p : kChaosProfiles) {
+    if (!out.empty()) out += ", ";
+    out += p.name;
+    if (*p.options != '\0') out += std::string(" ") + p.options;
+  }
+  return out;
+}
+
+int cmd_chaos(const Args& args) {
+  const std::string profile = args.get("profile", "flaky-pcie");
+  for (const ChaosProfile& p : kChaosProfiles) {
+    if (profile == p.name) return p.run(args);
+  }
+  std::fprintf(stderr, "unknown chaos profile: %s\nprofiles: %s\n",
+               profile.c_str(), chaos_profiles_usage().c_str());
+  return 2;
 }
 
 int cmd_graph(const Args& args) {
@@ -1581,14 +1513,13 @@ int cmd_trace_runtime(const Args& args) {
   config.adaptive.enabled = args.get_int("adaptive", 0) != 0;
   config.adaptive.window_steps =
       static_cast<int>(args.get_int("window-steps", 4));
-  const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
 
   auto& trace = telemetry::TraceRecorder::global();
   trace.set_process_name(0, "lmo-runtime");
   trace.set_process_name(parallel::kParallelTracePid, "lmo-adaptive");
   trace.enable();
   runtime::Generator generator(config);
-  const auto result = generator.generate(prompts, gen_len);
+  const auto result = generator.generate(kTinyPrompts, gen_len);
   trace.disable();
   trace.save(out);
 
@@ -1614,11 +1545,7 @@ int cmd_trace_runtime(const Args& args) {
                 reg.gauge("parallel.calibration.copy_bw").value() / 1e9);
   }
 
-  const std::string metrics_out = args.get("metrics-out", "");
-  if (!metrics_out.empty()) {
-    generator.manager().metrics().snapshot().save(metrics_out);
-    std::printf("wrote offload metrics to %s\n", metrics_out.c_str());
-  }
+  save_metrics(args, generator.manager().metrics(), "offload metrics");
   return 0;
 }
 
@@ -1635,30 +1562,39 @@ int cmd_trace(const Args& args) {
   std::printf("wrote %zu tasks to %s (open in chrome://tracing)\n",
               report.run.tasks.size(), out.c_str());
 
-  const std::string metrics_out = args.get("metrics-out", "");
-  if (!metrics_out.empty()) {
-    telemetry::MetricsRegistry registry;
-    sim::export_metrics(report.run, registry);
-    registry.snapshot().save(metrics_out);
-    std::printf("wrote predicted-run metrics to %s\n", metrics_out.c_str());
-  }
+  telemetry::MetricsRegistry registry;
+  sim::export_metrics(report.run, registry);
+  save_metrics(args, registry, "predicted-run metrics");
   return 0;
 }
 
+constexpr std::pair<const char*, int (*)(const Args&)> kCommands[] = {
+    {"plan", cmd_plan},       {"compare", cmd_compare},
+    {"sweep", cmd_sweep},     {"decide", cmd_decide},
+    {"calibrate", cmd_calibrate},
+    {"graph", cmd_graph},     {"serve", cmd_serve},
+    {"chaos", cmd_chaos},     {"trace", cmd_trace},
+    {"checkpoint", cmd_checkpoint},
+    {"resume", cmd_resume},   {"recover", cmd_recover},
+    {"models", cmd_models},
+};
+
 int usage() {
+  std::string commands;
+  for (const auto& [name, run] : kCommands) {
+    commands += (commands.empty() ? "" : "|") + std::string(name);
+  }
   std::fprintf(stderr,
-               "usage: lmo <plan|compare|sweep|decide|calibrate|graph|serve|chaos|\n            trace|checkpoint|resume|models> "
+               "usage: lmo <%s> "
                "[--model M] [--len N] [--prompt N] [--batch N] "
                "[--batches N] [--bls N] [--platform preset-or-file] "
                "[--wg PCT] [--attn cpu|gpu] [--bits 4|8] [--out FILE]\n"
                "platform presets: a100-single, v100-quad, h100-single, "
                "rtx4090-desktop\n"
-               "chaos: run generation under a fault profile "
-               "(--profile flaky-pcie|congested|dead-prefetch|oom|"
-               "kill-resume|shared-prefix|overload|adaptive [--rate P] "
-               "[--denials N] [--seed S] [--kv dense|paged|window] "
-               "[--kv-block-tokens N] [--burst-rate R] [--kv-pool-kb N] "
-               "[--windows N])\n"
+               "chaos: run generation under a fault profile, --profile P "
+               "[--seed S], one of: %s\n",
+               commands.c_str(), chaos_profiles_usage().c_str());
+  std::fprintf(stderr,
                "serve: --prefix-share 1 shares prompt KV across requests "
                "(--kv-block-tokens N); --templates N draws a shared-prefix "
                "workload [--template-tokens T]\n"
@@ -1690,19 +1626,9 @@ int usage() {
 int main(int argc, char** argv) {
   try {
     const Args args = parse_args(argc, argv);
-    if (args.command == "models") return cmd_models();
-    if (args.command == "plan") return cmd_plan(args);
-    if (args.command == "compare") return cmd_compare(args);
-    if (args.command == "sweep") return cmd_sweep(args);
-    if (args.command == "decide") return cmd_decide(args);
-    if (args.command == "calibrate") return cmd_calibrate(args);
-    if (args.command == "graph") return cmd_graph(args);
-    if (args.command == "serve") return cmd_serve(args);
-    if (args.command == "chaos") return cmd_chaos(args);
-    if (args.command == "checkpoint") return cmd_checkpoint(args);
-    if (args.command == "resume") return cmd_resume(args);
-    if (args.command == "recover") return cmd_recover(args);
-    if (args.command == "trace") return cmd_trace(args);
+    for (const auto& [name, run] : kCommands) {
+      if (args.command == name) return run(args);
+    }
     return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -691,5 +691,26 @@ TEST(ServeSim, ValidatesInputs) {
                CheckError);
 }
 
+TEST(ServeSim, RequestIdsMustMatchTracePositions) {
+  // Outcomes and admission costs are indexed by request id, so an id that
+  // is not the request's position would write out of bounds.
+  const auto spec = model::ModelSpec::opt_13b();
+  const ServeConfig config;
+  for (const std::vector<Request>& requests :
+       {std::vector<Request>{{0, 0.0, 8, 4}, {7, 1.0, 8, 4}},
+        std::vector<Request>{{1, 0.0, 8, 4}, {0, 1.0, 8, 4}},
+        std::vector<Request>{{0, 0.0, 8, 4}, {-1, 1.0, 8, 4}}}) {
+    EXPECT_THROW(simulate_serving(spec, serving_policy(),
+                                  hw::Platform::a100_single(), requests,
+                                  config),
+                 CheckError);
+  }
+  const std::vector<Request> positional = {{0, 0.0, 8, 4}, {1, 1.0, 8, 4}};
+  EXPECT_EQ(simulate_serving(spec, serving_policy(),
+                             hw::Platform::a100_single(), positional, config)
+                .completed,
+            2u);
+}
+
 }  // namespace
 }  // namespace lmo::serve
