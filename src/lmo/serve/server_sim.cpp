@@ -571,7 +571,7 @@ struct Engine {
   /// blocks stay in the block store), charging the engine clock, the swap
   /// totals and one trace span.
   void charge_swap(const Active& a, double bw, const char* name,
-                           const char* category) {
+                   const char* category) {
     const double cost =
         kv_swap_seconds(spec, a.kv_bits, a.private_kv_tokens(), bw) /
         bandwidth_factor();
@@ -600,8 +600,7 @@ struct Engine {
   /// The preemptible in-flight session with the most remaining work, or with
   /// `by_priority` the lowest-priority one (ties: most remaining work);
   /// `exclude` guards against self-preemption. -1 when nobody qualifies.
-  std::ptrdiff_t pick_victim(const Active* exclude,
-                                     bool by_priority) const {
+  std::ptrdiff_t pick_victim(const Active* exclude, bool by_priority) const {
     std::ptrdiff_t victim = -1;
     for (std::size_t i = 0; i < active.size(); ++i) {
       const Active& a = active[i];
@@ -732,8 +731,7 @@ struct Engine {
     adaptive_window = 0;
   }
 
-  overload::AdmissionRequest describe(const Request& r,
-                                              double submit) const {
+  overload::AdmissionRequest describe(const Request& r, double submit) const {
     overload::AdmissionRequest d;
     d.id = r.id;
     d.submit_seconds = submit;

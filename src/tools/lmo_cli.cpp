@@ -1268,7 +1268,11 @@ int cmd_chaos_crash(const Args& args) {
                   session.resumed ? "resumed" : "fresh start",
                   static_cast<unsigned long long>(session.orphan_blocks),
                   identical ? "identical" : "DIVERGED");
-      (identical ? recovered_ok : failures) += 1;
+      if (identical) {
+        ++recovered_ok;
+      } else {
+        ++failures;
+      }
     }
   }
   std::printf("chaos profile 'crash' (seed %llu): %d kill(s), %d recovered "
