@@ -460,6 +460,25 @@ TEST(GeneratorCkpt, PrefixShareFixtureFromEarlierBuildResumes) {
                           {58, 25, 25, 41, 62, 62, 30, 1, 1, 55}});
 }
 
+TEST(GeneratorCkpt, DenseKv4FixtureFromEarlierBuildResumes) {
+  // Written mid-decode of kPrompts when dense KV kept one group-quantized
+  // tensor per row.
+  auto config = fixture_config(runtime::KVFlavor::kDense);
+  config.kv_bits = 4;
+  expect_fixture_resumes(config, "dense_kv4_v3.ckpt",
+                         {{4, 35, 10, 10, 19, 19, 13, 13, 14, 62},
+                          {47, 52, 52, 32, 32, 17, 33, 54, 61, 61}});
+}
+
+TEST(GeneratorCkpt, WindowFixtureFromEarlierBuildResumes) {
+  // Written mid-decode of kPrompts with a 6-token window, when the window
+  // cache was a ring; the ring had wrapped by the snapshot.
+  expect_fixture_resumes(fixture_config(runtime::KVFlavor::kWindow),
+                         "window_kv_v3.ckpt",
+                         {{4, 35, 10, 10, 19, 19, 13, 13, 16, 58},
+                          {47, 52, 52, 32, 32, 17, 34, 52, 58, 58}});
+}
+
 TEST(GeneratorCkpt, SnapshotQuiescesActivePrefetchWorkers) {
   // With async prefetch on, snapshot() must drain in-flight transfers
   // (OffloadManager::quiesce) before serializing — this is the
