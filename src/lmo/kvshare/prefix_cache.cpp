@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 #include "lmo/telemetry/trace.hpp"
 #include "lmo/util/check.hpp"
@@ -65,11 +64,26 @@ std::size_t PrefixCache::relieve_pressure(std::size_t bytes_needed) {
       std::this_thread::get_id()) {
     return 0;  // re-entrant: the running operation's own eviction handles it
   }
+  Guard lock(*this);
   // A block a live sequence still references frees nothing when evicted,
-  // so keep going down the LRU order until enough bytes actually came free.
-  return evict_measured(std::numeric_limits<std::size_t>::max(),
-                        bytes_needed)
-      .second;
+  // so relief passes over those leaves and evicts the LRU ones that do.
+  const auto frees_bytes = [this](std::int64_t handle) {
+    const std::int64_t* ids = node_blocks_locked(handle);
+    return std::any_of(ids, ids + layers_, [this](std::int64_t id) {
+      return blocks_.refcount(id) == 1;
+    });
+  };
+  std::size_t evicted = 0;
+  std::size_t freed = 0;
+  while (freed < bytes_needed) {
+    const std::int64_t victim = tree_.evict_lru(frees_bytes);
+    if (victim < 0) break;
+    freed += drop_node_locked(victim);
+    ++evicted;
+  }
+  update_gauges_locked();
+  count_locked(kEvictedBlocks, evicted);
+  return freed;
 }
 
 void PrefixCache::check_generation_locked() {
@@ -314,24 +328,17 @@ std::shared_ptr<PrefixLease> PrefixCache::insert(
 }
 
 std::size_t PrefixCache::evict(std::size_t max_blocks) {
-  return evict_measured(max_blocks, std::numeric_limits<std::size_t>::max())
-      .first;
-}
-
-std::pair<std::size_t, std::size_t> PrefixCache::evict_measured(
-    std::size_t max_blocks, std::size_t bytes_wanted) {
   Guard lock(*this);
   std::size_t evicted = 0;
-  std::size_t freed = 0;
-  while (evicted < max_blocks && freed < bytes_wanted) {
+  while (evicted < max_blocks) {
     const std::int64_t victim = tree_.evict_lru();
     if (victim < 0) break;
-    freed += drop_node_locked(victim);
+    drop_node_locked(victim);
     ++evicted;
   }
   update_gauges_locked();
   count_locked(kEvictedBlocks, evicted);
-  return {evicted, freed};
+  return evicted;
 }
 
 void PrefixCache::release(PrefixLease& lease) {

@@ -4,10 +4,11 @@
 // holds one block per layer, so one cached block spans block_tokens tokens
 // across every layer. Two modes share one implementation:
 //
-//  * materialized (Generator): blocks hold real f32 K/V rows. Publishing a
-//    finished prefill refs the sequence's own blocks — no row is copied —
-//    and a matched lease lets a PagedKVCache start from the cached rows
-//    bit-exactly, so prefill runs only over the unmatched prompt suffix.
+//  * materialized (Generator): blocks hold real K/V rows, f32 or
+//    quantized. Publishing a finished prefill refs the sequence's own
+//    blocks — no row is copied — and a matched lease lets a KVCache start
+//    from the cached rows bit-exactly, so prefill runs only over the
+//    unmatched prompt suffix.
 //  * accounting-only (server_sim): blocks carry no payload, only modelled
 //    bytes — the simulator asks "how many prompt tokens would hit?" and
 //    charges the cost model for the remainder.
@@ -34,7 +35,7 @@
 
 #include "lmo/integrity/integrity.hpp"
 #include "lmo/kvshare/radix_tree.hpp"
-#include "lmo/runtime/paged_kv.hpp"
+#include "lmo/runtime/kv_cache.hpp"
 #include "lmo/telemetry/metrics.hpp"
 
 namespace lmo::kvshare {
@@ -83,8 +84,9 @@ class PrefixCache {
   /// When the block pool charges a MemoryPool, the cache registers a
   /// pressure callback on it: under allocation pressure (a watermark
   /// crossing or a would-fail charge from *any* allocator sharing the
-  /// pool) it evicts unpinned chains and reports the bytes that actually
-  /// came free — a block a live sequence still references frees nothing.
+  /// pool) it evicts unpinned leaves whose blocks come free — a block a
+  /// live sequence still references frees nothing, so those stay cached —
+  /// and reports the bytes released.
   /// The callback is removed in the destructor; the cache must not be
   /// destroyed while other threads can still drive the pool into pressure.
   /// `integrity` (nullable, caller-owned) fingerprints each node's blocks
@@ -121,8 +123,8 @@ class PrefixCache {
   std::shared_ptr<PrefixLease> insert(std::span<const std::int64_t> tokens,
                                       const BlockSource& source = nullptr);
 
-  /// Evict up to `max_blocks` LRU leaves (pool-pressure relief, tests).
-  /// Returns the number actually evicted.
+  /// Evict up to `max_blocks` LRU leaves in plain LRU order, whether or not
+  /// their blocks come free. Returns the number actually evicted.
   std::size_t evict(std::size_t max_blocks);
 
   std::int64_t block_tokens() const { return blocks_.block_tokens(); }
@@ -183,10 +185,6 @@ class PrefixCache {
   /// Drop the cache's references on one node's blocks and free its
   /// handle; returns the bytes that came free.
   std::size_t drop_node_locked(std::int64_t handle);
-  /// Evict LRU leaves until `max_blocks` went or `bytes_wanted` came free;
-  /// returns {evicted, bytes freed}.
-  std::pair<std::size_t, std::size_t> evict_measured(
-      std::size_t max_blocks, std::size_t bytes_wanted);
   std::shared_ptr<PrefixLease> make_lease(
       const std::vector<RadixTree::Node*>& chain);
   void update_gauges_locked();
@@ -200,9 +198,11 @@ class PrefixCache {
   void quarantine_locked(RadixTree::Node* node);
   /// Free quarantined subtrees whose last pin has dropped.
   void reap_quarantined_locked();
-  /// Pool pressure callback target: evict unpinned chains until
-  /// `bytes_needed` came free or none is left; returns the bytes released.
-  /// No-op when called from a thread already inside a cache operation.
+  /// Pool pressure callback target: evict LRU leaves that free bytes —
+  /// passing over those whose blocks a live sequence still references —
+  /// until `bytes_needed` came free or none is left; returns the bytes
+  /// released. No-op when called from a thread already inside a cache
+  /// operation.
   std::size_t relieve_pressure(std::size_t bytes_needed);
 
   /// kvshare.* counters, indexing kCounterNames and counters_.

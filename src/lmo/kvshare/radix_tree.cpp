@@ -112,7 +112,8 @@ void RadixTree::visit(const Node& node,
   }
 }
 
-std::int64_t RadixTree::evict_lru() {
+std::int64_t RadixTree::evict_lru(
+    const std::function<bool(std::int64_t block)>& evictable) {
   // Depth-first scan for the LRU childless unpinned node. The tree is
   // bounded by the block budget, so the walk stays small; determinism
   // matters more here than asymptotics.
@@ -125,6 +126,7 @@ std::int64_t RadixTree::evict_lru() {
       stack.push_back(child.get());
     }
     if (node == &root_ || !node->children.empty() || node->pins > 0) continue;
+    if (evictable && !evictable(node->block)) continue;
     if (victim == nullptr || node->last_use < victim->last_use ||
         (node->last_use == victim->last_use && node->id < victim->id)) {
       victim = node;

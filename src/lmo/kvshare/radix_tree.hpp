@@ -59,9 +59,11 @@ class RadixTree {
   void pin(Node* node);
   void unpin(Node* node);
 
-  /// Evict the least-recently-used childless unpinned node. Returns its
-  /// block handle, or -1 when every node is pinned or covered by children.
-  std::int64_t evict_lru();
+  /// Evict the least-recently-used childless unpinned node whose block
+  /// handle `evictable` accepts (null: any). Returns its block handle, or
+  /// -1 when no node qualifies.
+  std::int64_t evict_lru(
+      const std::function<bool(std::int64_t block)>& evictable = nullptr);
 
   /// Detach `node` and its whole subtree from the tree, transferring
   /// ownership to the caller (the quarantine rung of the integrity repair

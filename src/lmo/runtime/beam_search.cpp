@@ -20,7 +20,7 @@ struct Beam {
 SequenceCache clone_cache(const SequenceCache& cache) {
   SequenceCache copy;
   copy.reserve(cache.size());
-  for (const auto& layer : cache) copy.push_back(layer->clone());
+  for (const KVCache& layer : cache) copy.push_back(layer.clone());
   return copy;
 }
 
@@ -72,9 +72,7 @@ BeamSearchResult beam_search(Generator& generator,
 
   // Root beam: prefill the prompt once.
   std::vector<Beam> beams(1);
-  beams[0].cache = transformer.make_cache(generator.config().kv_bits,
-                                          generator.config().quant_group,
-                                          generator.host_pool());
+  beams[0].cache = transformer.make_cache(generator.kv_blocks());
   tensor::Tensor logits = forward_one(beams[0], prompt);
 
   for (std::int64_t t = 0; t < gen_len; ++t) {

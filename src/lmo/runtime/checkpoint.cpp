@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <set>
 
 #include "lmo/ckpt/format.hpp"
 #include "lmo/ckpt/tensor_codec.hpp"
-#include "lmo/runtime/kv_factory.hpp"
-#include "lmo/runtime/window_kv.hpp"
 #include "lmo/telemetry/trace.hpp"
 #include "lmo/util/check.hpp"
 #include "lmo/util/fault.hpp"
@@ -30,169 +29,151 @@ std::vector<std::int64_t> decode_i64_vec(ckpt::ByteReader& reader) {
   return values;
 }
 
-// KV flavor tags in the cache codec. Distinct from KVFlavor so the wire
-// format stays frozen even if the enum is reordered.
+// KV record tags in the cache codec. The writer emits kDenseTag for every
+// cache; the other three are records of earlier builds, decoded into blocks.
 constexpr std::uint8_t kDenseTag = 1;
 constexpr std::uint8_t kPagedTag = 2;
 constexpr std::uint8_t kWindowTag = 3;
-/// Written by earlier builds for prefix-shared sequences; read-only now.
 constexpr std::uint8_t kSharedTag = 4;
 
-void encode_dense(ckpt::ByteWriter& writer, const KVCache& cache) {
-  writer.u8(kDenseTag);
-  writer.i64(cache.hidden());
-  writer.u8(static_cast<std::uint8_t>(cache.bits()));
-  writer.i64(cache.group_size());
-  writer.u64(static_cast<std::uint64_t>(cache.length()));
-  const auto encode_rows = [&](const std::vector<KVCache::Row>& rows) {
-    for (const KVCache::Row& row : rows) {
-      if (cache.bits() == 16) {
-        ckpt::encode_tensor(writer, row.plain);
-      } else {
-        ckpt::encode_quantized(writer, row.quantized);
-      }
-    }
-  };
-  encode_rows(cache.k_rows());
-  encode_rows(cache.v_rows());
+/// One stored row as a checkpoint tensor: f32 rows as a [hidden] tensor,
+/// quantized rows as the QuantizedTensor tensor::quantize produced.
+void encode_row(ckpt::ByteWriter& writer, const KVCache& cache,
+                std::span<const std::byte> row) {
+  const std::int64_t hidden = cache.hidden();
+  const KVBlockPool& pool = cache.pool();
+  if (cache.bits() == 16) {
+    std::vector<float> values(static_cast<std::size_t>(hidden));
+    std::memcpy(values.data(), row.data(), values.size() * sizeof(float));
+    ckpt::encode_tensor(writer,
+                        tensor::Tensor::from_values({hidden}, std::move(values)));
+    return;
+  }
+  const auto groups = static_cast<std::size_t>(pool.row_groups());
+  const auto* meta = reinterpret_cast<const float*>(row.data());
+  const auto* codes = reinterpret_cast<const std::uint8_t*>(
+      row.data() + 2 * groups * sizeof(float));
+  ckpt::encode_quantized(
+      writer, tensor::QuantizedTensor::from_parts(
+                  tensor::Shape{hidden},
+                  tensor::QuantConfig{cache.bits(), pool.group_size()},
+                  pool.row_groups() * pool.group_size(),
+                  std::vector<std::uint8_t>(codes,
+                                            codes + pool.row_payload_bytes()),
+                  std::vector<float>(meta, meta + groups),
+                  std::vector<float>(meta + groups, meta + 2 * groups)));
 }
 
-std::unique_ptr<KVCacheBase> decode_dense(ckpt::ByteReader& reader,
-                                          const KVRestoreContext& context) {
-  LMO_CHECK_MSG(context.pool != nullptr,
-                "dense KV restore needs a memory pool");
+/// Decode one encode_row record into `cache`'s stored-row layout.
+std::vector<std::byte> decode_row(ckpt::ByteReader& reader,
+                                  const KVCache& cache) {
+  const KVBlockPool& pool = cache.pool();
+  std::vector<std::byte> row(pool.row_bytes());
+  if (cache.bits() == 16) {
+    const tensor::Tensor value = ckpt::decode_tensor(reader);
+    if (value.dtype() != tensor::DType::kF32 ||
+        value.shape() != tensor::Shape{cache.hidden()}) {
+      throw util::CheckpointCorrupt("KV checkpoint row has the wrong shape");
+    }
+    std::memcpy(row.data(), value.f32().data(), row.size());
+    return row;
+  }
+  const tensor::QuantizedTensor q = ckpt::decode_quantized(reader);
+  if (q.bits() != cache.bits() || q.group_size() != pool.group_size() ||
+      q.original_shape().numel() != cache.hidden()) {
+    throw util::CheckpointCorrupt(
+        "KV checkpoint row does not match the cache's quantization");
+  }
+  const std::size_t meta = q.group_min().size() * sizeof(float);
+  std::memcpy(row.data(), q.group_min().data(), meta);
+  std::memcpy(row.data() + meta, q.group_scale().data(), meta);
+  std::memcpy(row.data() + 2 * meta, q.payload().data(), q.payload().size());
+  return row;
+}
+
+/// A kDenseTag record: geometry, then every visible K row, then every V
+/// row, stored bytes verbatim (quantized payloads bit-exact).
+void decode_dense(ckpt::ByteReader& reader, KVCache& cache) {
   const std::int64_t hidden = reader.i64();
   const int bits = reader.u8();
-  const std::int64_t group = reader.i64();
+  reader.i64();  // quantization group: each quantized row carries its own
   const std::uint64_t length = reader.u64();
-  if (bits != 16 && bits != 8 && bits != 4) {
-    throw util::CheckpointCorrupt("dense KV checkpoint has invalid bits " +
-                                  std::to_string(bits));
-  }
-  KvCacheSpec spec;
-  spec.hidden = hidden;
-  spec.num_layers = 1;
-  spec.kv_bits = bits;
-  spec.quant_group = group;
-  spec.pool = context.pool;
-  auto base = MakeLayerKvCache(KVFlavor::kDense, spec);
-  auto* cache = static_cast<KVCache*>(base.get());
-  if (context.integrity != nullptr) {
-    cache->set_integrity(context.integrity, context.kv_region);
+  if (hidden != cache.hidden() || bits != cache.bits()) {
+    throw util::CheckpointCorrupt(
+        "KV checkpoint record does not match the cache geometry");
   }
   const auto decode_rows = [&] {
-    std::vector<KVCache::Row> rows;
-    rows.reserve(static_cast<std::size_t>(length));
+    std::vector<std::vector<std::byte>> rows;
     for (std::uint64_t i = 0; i < length; ++i) {
-      KVCache::Row row;
-      if (bits == 16) {
-        row.plain = ckpt::decode_tensor(reader);
-      } else {
-        row.quantized = ckpt::decode_quantized(reader);
-      }
-      rows.push_back(std::move(row));
+      rows.push_back(decode_row(reader, cache));
     }
     return rows;
   };
-  std::vector<KVCache::Row> k = decode_rows();
-  std::vector<KVCache::Row> v = decode_rows();
-  try {
-    cache->restore_rows(std::move(k), std::move(v));
-  } catch (const util::CheckError& e) {
-    throw util::CheckpointCorrupt(
-        std::string("dense KV checkpoint is inconsistent: ") + e.what());
-  }
-  return base;
+  const auto k = decode_rows();
+  const auto v = decode_rows();
+  for (std::size_t i = 0; i < k.size(); ++i) cache.append_stored(k[i], v[i]);
 }
 
-void encode_paged(ckpt::ByteWriter& writer, const PagedKVCache& cache) {
-  writer.u8(kPagedTag);
-  writer.i64(cache.length());
-  if (cache.length() > 0) {
-    // Gathered [length, hidden] matrices; the block structure is a pure
-    // function of length so re-appending on restore rebuilds the same
-    // block table (with private blocks: sharing does not survive a
-    // restart).
-    writer.f32_array(cache.keys().f32());
-    writer.f32_array(cache.values().f32());
+/// Append `length` gathered f32 rows per plane (an earlier build's paged,
+/// shared or window record).
+void append_f32_rows(KVCache& cache, std::span<const float> k,
+                     std::span<const float> v, std::int64_t length) {
+  const std::int64_t hidden = cache.hidden();
+  for (std::int64_t t = 0; t < length; ++t) {
+    const auto row = [&](std::span<const float> plane) {
+      const auto rows = plane.subspan(static_cast<std::size_t>(t * hidden),
+                                      static_cast<std::size_t>(hidden));
+      return tensor::Tensor::from_values(
+          {hidden}, std::vector<float>(rows.begin(), rows.end()));
+    };
+    cache.append(row(k), row(v));
   }
 }
 
-/// Rebuild `length` gathered [length, hidden] K/V rows as a private paged
-/// cache.
-std::unique_ptr<KVCacheBase> decode_paged(ckpt::ByteReader& reader,
-                                          const KVRestoreContext& context,
-                                          std::int64_t length) {
-  LMO_CHECK_MSG(context.block_pool != nullptr,
-                "paged KV restore needs a block pool");
+/// kPagedTag: the length, then gathered [length, hidden] K and V matrices.
+void decode_paged(ckpt::ByteReader& reader, KVCache& cache) {
+  const std::int64_t length = reader.i64();
   if (length < 0) {
     throw util::CheckpointCorrupt("paged KV checkpoint has negative length");
   }
-  KvCacheSpec spec;
-  spec.num_layers = 1;
-  spec.block_pool = context.block_pool;
-  auto owned = MakeLayerKvCache(KVFlavor::kPaged, spec);
-  if (length == 0) return owned;
-  const std::int64_t hidden = context.block_pool->hidden();
+  if (length == 0) return;
   const std::vector<float> k = reader.f32_array();
   const std::vector<float> v = reader.f32_array();
-  const std::size_t expected =
-      static_cast<std::size_t>(length) * static_cast<std::size_t>(hidden);
+  const std::size_t expected = static_cast<std::size_t>(length) *
+                               static_cast<std::size_t>(cache.hidden());
   if (k.size() != expected || v.size() != expected) {
     throw util::CheckpointCorrupt(
         "paged KV checkpoint payload does not match length " +
-        std::to_string(length) + " x hidden " + std::to_string(hidden));
+        std::to_string(length) + " x hidden " +
+        std::to_string(cache.hidden()));
   }
-  for (std::int64_t t = 0; t < length; ++t) {
-    const auto row = [&](const std::vector<float>& src) {
-      const auto* base = src.data() + t * hidden;
-      return tensor::Tensor::from_values(
-          {hidden}, std::vector<float>(base, base + hidden));
-    };
-    owned->append(row(k), row(v));
-  }
-  return owned;
+  append_f32_rows(cache, k, v, length);
 }
 
-void encode_window(ckpt::ByteWriter& writer, const WindowKVCache& cache) {
-  writer.u8(kWindowTag);
-  const std::int64_t hidden =
-      static_cast<std::int64_t>(cache.k_ring().size()) / cache.window();
-  writer.i64(hidden);
-  writer.i64(cache.window());
-  writer.i64(cache.appended());
-  writer.i64(cache.length());
-  writer.f32_array(cache.k_ring());
-  writer.f32_array(cache.v_ring());
-}
-
-std::unique_ptr<KVCacheBase> decode_window(ckpt::ByteReader& reader,
-                                           const KVRestoreContext& context) {
-  LMO_CHECK_MSG(context.pool != nullptr,
-                "window KV restore needs a memory pool");
+/// kWindowTag: a ring of `window` row slots plus its cursors; only the
+/// visible rows, oldest first, carry over.
+void decode_window(ckpt::ByteReader& reader, KVCache& cache) {
   const std::int64_t hidden = reader.i64();
   const std::int64_t window = reader.i64();
   const std::int64_t appended = reader.i64();
   const std::int64_t visible = reader.i64();
-  std::vector<float> k_ring = reader.f32_array();
-  std::vector<float> v_ring = reader.f32_array();
-  if (hidden <= 0 || window <= 0) {
-    throw util::CheckpointCorrupt("window KV checkpoint has invalid geometry");
+  const std::vector<float> k_ring = reader.f32_array();
+  const std::vector<float> v_ring = reader.f32_array();
+  const std::size_t ring = static_cast<std::size_t>(std::max<std::int64_t>(
+      0, window * hidden));
+  if (hidden != cache.hidden() || window <= 0 || visible < 0 ||
+      visible > std::min(appended, window) || k_ring.size() != ring ||
+      v_ring.size() != ring) {
+    throw util::CheckpointCorrupt("window KV checkpoint is inconsistent");
   }
-  KvCacheSpec spec;
-  spec.hidden = hidden;
-  spec.num_layers = 1;
-  spec.window_tokens = window;
-  spec.pool = context.pool;
-  auto base = MakeLayerKvCache(KVFlavor::kWindow, spec);
-  auto* cache = static_cast<WindowKVCache*>(base.get());
-  try {
-    cache->restore(appended, visible, std::move(k_ring), std::move(v_ring));
-  } catch (const util::CheckError& e) {
-    throw util::CheckpointCorrupt(
-        std::string("window KV checkpoint is inconsistent: ") + e.what());
+  std::vector<float> k, v;
+  for (std::int64_t i = 0; i < visible; ++i) {
+    const auto slot = static_cast<std::size_t>(
+        (appended - visible + i) % window * hidden);
+    k.insert(k.end(), k_ring.begin() + slot, k_ring.begin() + slot + hidden);
+    v.insert(v.end(), v_ring.begin() + slot, v_ring.begin() + slot + hidden);
   }
-  return base;
+  append_f32_rows(cache, k, v, visible);
 }
 
 void encode_fault_states(ckpt::ByteWriter& writer) {
@@ -310,19 +291,22 @@ RuntimeConfig decode_runtime_config(ckpt::ByteReader& reader) {
   config.disk_layers = reader.i64();
   config.disk_capacity = static_cast<std::size_t>(reader.u64());
   config.spill_block_bytes = static_cast<std::size_t>(reader.u64());
+  // Flavor byte 1 was a paged flavor, which is kDense now.
   const std::uint8_t flavor = reader.u8();
+  constexpr std::uint8_t kLegacyPaged = 1;
   if (flavor > static_cast<std::uint8_t>(KVFlavor::kWindow)) {
     throw util::CheckpointCorrupt("checkpoint has unknown KV flavor tag " +
                                   std::to_string(flavor));
   }
-  config.kv_flavor = static_cast<KVFlavor>(flavor);
+  config.kv_flavor = flavor == kLegacyPaged ? KVFlavor::kDense
+                                            : static_cast<KVFlavor>(flavor);
   const std::int64_t page_tokens = reader.i64();
   config.window_tokens = reader.i64();
   config.prefix_share = reader.u8() != 0;
   config.kv_block_tokens = reader.i64();
   // Earlier builds kept a separate page size, which was the block size of
   // a paged session that did not share prefixes.
-  if (config.kv_flavor == KVFlavor::kPaged && !config.prefix_share) {
+  if (flavor == kLegacyPaged && !config.prefix_share) {
     config.kv_block_tokens = page_tokens;
   }
   config.prefetch_threads = static_cast<int>(reader.i64());
@@ -375,35 +359,34 @@ bool runtime_config_equal(const RuntimeConfig& a, const RuntimeConfig& b) {
          a.sampling.seed == b.sampling.seed;
 }
 
-void encode_kv_cache(ckpt::ByteWriter& writer, const KVCacheBase& cache) {
-  if (const auto* dense = dynamic_cast<const KVCache*>(&cache)) {
-    encode_dense(writer, *dense);
-  } else if (const auto* paged = dynamic_cast<const PagedKVCache*>(&cache)) {
-    encode_paged(writer, *paged);
-  } else if (const auto* window =
-                 dynamic_cast<const WindowKVCache*>(&cache)) {
-    encode_window(writer, *window);
-  } else {
-    LMO_UNREACHABLE("unknown KV cache flavor in checkpoint encoder");
+void encode_kv_cache(ckpt::ByteWriter& writer, const KVCache& cache) {
+  writer.u8(kDenseTag);
+  writer.i64(cache.hidden());
+  writer.u8(static_cast<std::uint8_t>(cache.bits()));
+  writer.i64(cache.pool().group_size());
+  writer.u64(static_cast<std::uint64_t>(cache.length()));
+  for (const KVPlane plane : {KVPlane::kKeys, KVPlane::kValues}) {
+    for (std::int64_t i = 0; i < cache.length(); ++i) {
+      encode_row(writer, cache, cache.stored_row(plane, i));
+    }
   }
 }
 
-std::unique_ptr<KVCacheBase> decode_kv_cache(ckpt::ByteReader& reader,
-                                             const KVRestoreContext& context) {
+void decode_kv_cache(ckpt::ByteReader& reader, KVCache& cache) {
+  LMO_CHECK_MSG(cache.appended() == 0, "KV restore needs an empty cache");
   const std::uint8_t tag = reader.u8();
   switch (tag) {
     case kDenseTag:
-      return decode_dense(reader, context);
+      return decode_dense(reader, cache);
     case kPagedTag:
-      return decode_paged(reader, context, reader.i64());
+      return decode_paged(reader, cache);
     case kWindowTag:
-      return decode_window(reader, context);
+      return decode_window(reader, cache);
     case kSharedTag:
       // A paged record behind the writer's hidden width, which the
-      // payload-size check covers. The whole chain was materialized, so
-      // the restore is private.
+      // payload-size check covers.
       reader.i64();
-      return decode_paged(reader, context, reader.i64());
+      return decode_paged(reader, cache);
     default:
       throw util::CheckpointCorrupt("unknown KV cache flavor tag " +
                                     std::to_string(tag));
@@ -449,9 +432,7 @@ std::size_t Generator::snapshot(const std::string& path) {
   for (std::uint64_t word : rng_state) writer.u64(word);
   encode_fault_states(writer);
   for (const SequenceCache& cache : session.caches) {
-    for (const auto& layer_cache : cache) {
-      encode_kv_cache(writer, *layer_cache);
-    }
+    for (const KVCache& layer : cache) encode_kv_cache(writer, layer);
   }
 
   const std::vector<std::byte> payload = writer.take();
@@ -515,17 +496,9 @@ void Generator::resume(const std::string& path) {
   const std::vector<util::FaultSiteState> fault_states =
       decode_fault_states(reader);
 
-  KVRestoreContext context;
-  context.pool = host_pool_.get();
-  context.block_pool = kv_blocks_.get();
-  context.integrity =
-      config_.integrity.enabled() ? integrity_.get() : nullptr;
   for (std::uint64_t s = 0; s < num_sequences; ++s) {
-    SequenceCache cache;
-    for (std::int64_t layer = 0; layer < config_.spec.num_layers; ++layer) {
-      context.kv_region = "kv.layer" + std::to_string(layer);
-      cache.push_back(decode_kv_cache(reader, context));
-    }
+    SequenceCache cache = make_sequence_cache();
+    for (KVCache& layer : cache) decode_kv_cache(reader, layer);
     session->caches.push_back(std::move(cache));
   }
   if (!reader.exhausted()) {

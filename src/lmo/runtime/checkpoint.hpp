@@ -10,7 +10,7 @@
 //   - the sampling RNG state (xoshiro256** words),
 //   - the fault injector's per-site schedule positions, so an active chaos
 //     schedule continues where it left off instead of restarting,
-//   - every (sequence, layer) KV cache, bit-exactly for all three flavors.
+//   - every (sequence, layer) KV cache's visible rows, bit-exactly.
 //
 // The per-cache and config codecs are exposed here so tests can exercise
 // round-trips and corruption handling without driving a whole Generator.
@@ -22,8 +22,6 @@
 #include "lmo/ckpt/binary_io.hpp"
 #include "lmo/runtime/generator.hpp"
 #include "lmo/runtime/kv_cache.hpp"
-#include "lmo/runtime/mempool.hpp"
-#include "lmo/runtime/paged_kv.hpp"
 
 namespace lmo::runtime {
 
@@ -39,28 +37,15 @@ RuntimeConfig decode_runtime_config(ckpt::ByteReader& reader);
 /// that encode_runtime_config captures).
 bool runtime_config_equal(const RuntimeConfig& a, const RuntimeConfig& b);
 
-/// Pools a KV-cache decode allocates from: `pool` backs dense and window
-/// caches, `block_pool` backs paged caches (prefix-shared sequences
-/// included). Only the member matching the encoded flavor is touched. When `integrity` is set, restored dense
-/// caches are attached to it (label `kv_region`) and re-fingerprint their
-/// rows, so verification continues seamlessly across a resume.
-struct KVRestoreContext {
-  MemoryPool* pool = nullptr;
-  KVBlockPool* block_pool = nullptr;
-  integrity::ChecksumRegistry* integrity = nullptr;
-  std::string kv_region;
-};
-
-/// Serialize one KV cache, dispatching on its dynamic flavor. Dense caches
-/// store their rows verbatim (quantized payloads bit-exact); window caches
-/// store the raw rings plus cursors; paged caches store the gathered K/V
-/// matrices and restore into private blocks (block structure is a function
-/// of length, so re-appending reproduces it exactly). The decoder still
-/// reads the shared-cache records (kSharedTag) of files written before
-/// prefix-shared sequences became paged caches.
-void encode_kv_cache(ckpt::ByteWriter& writer, const KVCacheBase& cache);
-std::unique_ptr<KVCacheBase> decode_kv_cache(ckpt::ByteReader& reader,
-                                             const KVRestoreContext& context);
+/// Serialize one KV cache's visible rows: geometry, every K row, then
+/// every V row, each as the stored f32 row or the stored quantized tensor
+/// (payload bit-exact, so a restore never re-quantizes). A window cache's
+/// size comes from the config fingerprint, not the record.
+void encode_kv_cache(ckpt::ByteWriter& writer, const KVCache& cache);
+/// Restore one record into `cache` (empty, built for the fingerprinted
+/// config) by appending its rows into blocks. Besides that record, reads
+/// the paged, prefix-shared and window-ring records earlier builds wrote.
+void decode_kv_cache(ckpt::ByteReader& reader, KVCache& cache);
 
 /// Cheap header+fingerprint probe of a checkpoint file: validates the
 /// envelope (CRC included) and decodes config + progress, without

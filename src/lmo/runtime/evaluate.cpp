@@ -27,9 +27,7 @@ EvalResult evaluate_sequence(Generator& generator,
   LMO_CHECK_GT(static_cast<std::int64_t>(tokens.size()), context_len);
 
   auto& transformer = generator.transformer();
-  auto cache = transformer.make_cache(generator.config().kv_bits,
-                                      generator.config().quant_group,
-                                      generator.host_pool());
+  auto cache = transformer.make_cache(generator.kv_blocks());
 
   // One forward pass over the whole sequence; the causal mask inside
   // attention makes every row's hidden state depend only on its prefix.

@@ -12,7 +12,6 @@
 #include "lmo/model/memory.hpp"
 #include "lmo/parallel/bundling.hpp"
 #include "lmo/perfmodel/policy.hpp"
-#include "lmo/runtime/window_kv.hpp"
 #include "lmo/telemetry/trace.hpp"
 #include "lmo/tensor/ops.hpp"
 #include "lmo/util/check.hpp"
@@ -140,19 +139,10 @@ void RuntimeConfig::validate() const {
     v.gt("kv_block_tokens", kv_block_tokens, 0);
     v.ge("prefetch_threads", prefetch_threads, 0);
     v.ge("compute_threads", compute_threads, 0);
-    if (kv_flavor == KVFlavor::kPaged) {
-      v.require("kv_bits", kv_bits == 16,
-                "paged KV pages store f32 rows; kv_bits must be 16");
-    }
-    if (kv_flavor == KVFlavor::kWindow) {
-      v.require("kv_bits", kv_bits == 16,
-                "window KV rings store f32 rows; kv_bits must be 16");
-    }
     if (prefix_share) {
       v.require("kv_flavor", kv_flavor != KVFlavor::kWindow,
-                "prefix sharing needs a block table; a window ring has none");
-      v.require("kv_bits", kv_bits == 16,
-                "shared KV blocks store f32 rows; kv_bits must be 16");
+                "prefix sharing reuses whole blocks; a window cache drops "
+                "them");
     }
   });
 }
@@ -227,12 +217,12 @@ Generator::Generator(const RuntimeConfig& config,
         std::make_unique<parallel::ThreadPool>(config.compute_threads);
     transformer_->set_compute_pool(compute_pool_.get());
   }
-  if (config_.kv_flavor == KVFlavor::kPaged || config_.prefix_share) {
-    KVBlockPoolConfig blocks;
-    blocks.block_tokens = config_.kv_block_tokens;
-    blocks.hidden = config_.spec.hidden;
-    kv_blocks_ = std::make_unique<KVBlockPool>(blocks, host_pool_.get());
-  }
+  KVBlockPoolConfig blocks;
+  blocks.block_tokens = config_.kv_block_tokens;
+  blocks.hidden = config_.spec.hidden;
+  blocks.bits = config_.kv_bits;
+  blocks.group_size = config_.quant_group;
+  kv_blocks_ = std::make_unique<KVBlockPool>(blocks, host_pool_.get());
   if (config_.prefix_share) {
     prefix_cache_ = std::make_unique<kvshare::PrefixCache>(
         *kv_blocks_, config_.spec.num_layers, &manager_->metrics(),
@@ -258,27 +248,19 @@ Generator::~Generator() {
 }
 
 SequenceCache Generator::make_sequence_cache() {
-  KvCacheSpec kv;
-  kv.hidden = config_.spec.hidden;
-  kv.num_layers = config_.spec.num_layers;
-  kv.kv_bits = config_.kv_bits;
-  kv.quant_group = config_.quant_group;
-  kv.window_tokens = config_.window_tokens;
-  kv.pool = host_pool_.get();
-  kv.block_pool = kv_blocks_.get();
-  // Prefix sharing hands blocks between sequences and the cache, so every
-  // sequence keeps a block table.
-  SequenceCache cache = MakeKvCache(
-      config_.prefix_share ? KVFlavor::kPaged : config_.kv_flavor, kv);
-  if (config_.integrity.enabled()) {
-    // Only the dense backend stores rows at rest (possibly quantized);
-    // paged/window caches hold live f32 rings the integrity layer does not
-    // model.
-    for (std::size_t layer = 0; layer < cache.size(); ++layer) {
-      if (auto* dense = dynamic_cast<KVCache*>(cache[layer].get())) {
-        dense->set_integrity(integrity_.get(),
-                             "kv.layer" + std::to_string(layer));
-      }
+  const std::int64_t window =
+      config_.kv_flavor == KVFlavor::kWindow ? config_.window_tokens : 0;
+  // A prefix-sharing session may publish its blocks; the prefix cache
+  // fingerprints those itself, so its rows carry no per-row checks.
+  const RowChecks checks =
+      config_.prefix_share ? RowChecks::kOff : RowChecks::kOn;
+  SequenceCache cache;
+  cache.reserve(static_cast<std::size_t>(config_.spec.num_layers));
+  for (std::int64_t layer = 0; layer < config_.spec.num_layers; ++layer) {
+    cache.emplace_back(*kv_blocks_, window, checks);
+    if (config_.integrity.enabled() && checks == RowChecks::kOn) {
+      cache.back().set_integrity(integrity_.get(),
+                                 "kv.layer" + std::to_string(layer));
     }
   }
   return cache;
@@ -308,7 +290,7 @@ void Generator::build_session_caches(Session& session,
     matched[s] = lease->matched_tokens();
     SequenceCache cache;
     for (std::int64_t layer = 0; layer < config_.spec.num_layers; ++layer) {
-      cache.push_back(std::make_unique<PagedKVCache>(*lease, layer));
+      cache.emplace_back(*lease, layer);
     }
     session.caches.push_back(std::move(cache));
     session.leases.push_back(std::move(lease));
@@ -355,10 +337,9 @@ std::shared_ptr<kvshare::PrefixLease> Generator::publish_prefix(
     const std::vector<std::int64_t>& prompt, const SequenceCache& cache) {
   return prefix_cache_->insert(prompt, [&](std::int64_t token_offset) {
     std::vector<std::int64_t> blocks;
-    for (const auto& layer : cache) {
-      blocks.push_back(static_cast<const PagedKVCache&>(*layer).block_table()
-                           [static_cast<std::size_t>(
-                               token_offset / config_.kv_block_tokens)]);
+    for (const KVCache& layer : cache) {
+      blocks.push_back(layer.block_table()[static_cast<std::size_t>(
+          token_offset / config_.kv_block_tokens)]);
     }
     return blocks;
   });
@@ -647,28 +628,13 @@ GenerationResult Generator::finish() {
   // wait it out so the stats and the trace are final when they are read.
   manager_->quiesce();
   result.offload = manager_->stats();
-  for (const auto& cache : session.caches) {
-    for (const auto& layer_cache : cache) {
-      if (const auto* flat = dynamic_cast<const KVCache*>(layer_cache.get())) {
-        result.kv_quantize_seconds += flat->quantize_seconds();
-        result.kv_dequantize_seconds += flat->dequantize_seconds();
-        result.kv_stored_bytes += flat->stored_bytes();
-      } else if (const auto* paged =
-                     dynamic_cast<const PagedKVCache*>(layer_cache.get())) {
-        // Blocks the prefix cache also holds are the cache's; only what
-        // this sequence alone keeps resident counts against it.
-        for (const std::int64_t id : paged->block_table()) {
-          if (kv_blocks_->refcount(id) == 1) {
-            result.kv_stored_bytes += kv_blocks_->block_bytes();
-          }
-        }
-      } else if (const auto* window = dynamic_cast<const WindowKVCache*>(
-                     layer_cache.get())) {
-        result.kv_stored_bytes += 2 *
-                                  static_cast<std::size_t>(window->window() *
-                                                           config_.spec.hidden) *
-                                  sizeof(float);
-      }
+  for (const SequenceCache& cache : session.caches) {
+    for (const KVCache& layer : cache) {
+      result.kv_quantize_seconds += layer.quantize_seconds();
+      result.kv_dequantize_seconds += layer.dequantize_seconds();
+      // Blocks the prefix cache or a fork also holds are theirs; only what
+      // this sequence alone keeps resident counts against it.
+      result.kv_stored_bytes += layer.private_bytes();
     }
   }
   result.device_peak_bytes = device_pool_->peak();

@@ -14,8 +14,7 @@
 #include "lmo/integrity/integrity.hpp"
 #include "lmo/model/llm_config.hpp"
 #include "lmo/parallel/adaptive_controller.hpp"
-#include "lmo/runtime/kv_factory.hpp"
-#include "lmo/runtime/paged_kv.hpp"
+#include "lmo/runtime/kv_cache.hpp"
 #include "lmo/runtime/transformer.hpp"
 #include "lmo/store/block_store.hpp"
 
@@ -66,19 +65,19 @@ struct RuntimeConfig {
   /// construction); empty = in-memory backend (tests, drills).
   std::string spill_path;
   std::size_t spill_block_bytes = 256u << 10;  ///< store block size
-  /// KV backend. kPaged and kWindow store f32 rows and require
-  /// kv_bits == 16.
+  /// Which rows attention sees. Either flavor keeps its rows in blocks of
+  /// kv_block_tokens tokens at kv_bits; a window cache frees each block
+  /// whose rows have all left the window.
   KVFlavor kv_flavor = KVFlavor::kDense;
-  std::int64_t window_tokens = 32;  ///< ring capacity in tokens (kWindow)
+  std::int64_t window_tokens = 32;  ///< visible rows per layer (kWindow)
   /// Cross-request KV prefix sharing (kvshare subsystem): sessions match
   /// their prompts against a radix tree of cached KV blocks and prefill
-  /// only the unmatched suffix. Sequences then keep their KV in paged
-  /// block tables over the pool the cache shares, with kv_flavor kDense or
-  /// kPaged alike; requires kv_bits == 16 (cached rows are f32, so reuse
-  /// is bit-exact) and rejects kWindow.
+  /// only the unmatched suffix. Cached blocks are the publishing
+  /// sequence's own, at any kv_bits, so reuse is bit-exact. Rejects
+  /// kWindow: a window cache drops the blocks a prefix would share.
   bool prefix_share = false;
-  /// Tokens per KV block: the kPaged block-table granularity and the
-  /// prefix cache's sharing unit.
+  /// Tokens per KV block: the unit of allocation, forking, window eviction
+  /// and prefix sharing.
   std::int64_t kv_block_tokens = 16;
   int prefetch_threads = 2;  ///< 0 disables async weight prefetch
   /// Transfer-retry / watchdog / degradation knobs (see OffloadManager).
@@ -159,6 +158,8 @@ class Generator {
   OffloadManager& manager() { return *manager_; }
   MemoryPool& device_pool() { return *device_pool_; }
   MemoryPool& host_pool() { return *host_pool_; }
+  /// Blocks of every session cache and of the prefix cache.
+  KVBlockPool& kv_blocks() { return *kv_blocks_; }
   /// Disk spill store; nullptr when config.disk_capacity == 0.
   store::BlockStore* spill_store() { return spill_store_.get(); }
   /// Live while an adaptive session is active; nullptr otherwise.
@@ -278,8 +279,8 @@ class Generator {
   /// writes into the manager.
   std::unique_ptr<parallel::ThreadPool> prefetch_pool_;
   std::unique_ptr<parallel::ThreadPool> compute_pool_;
-  /// Blocks of every paged sequence cache and of the prefix cache; set
-  /// when kv_flavor == kPaged or prefix_share. Outlives both.
+  /// Blocks of every session cache and of the prefix cache. Outlives
+  /// both.
   std::unique_ptr<KVBlockPool> kv_blocks_;
   /// Outlives session_ (declared first): sessions hold leases into it.
   std::unique_ptr<kvshare::PrefixCache> prefix_cache_;

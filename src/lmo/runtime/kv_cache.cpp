@@ -1,9 +1,11 @@
 #include "lmo/runtime/kv_cache.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <span>
 
+#include "lmo/kvshare/prefix_cache.hpp"
+#include "lmo/tensor/quantize.hpp"
 #include "lmo/util/check.hpp"
 #include "lmo/util/checksum.hpp"
 #include "lmo/util/fault.hpp"
@@ -21,100 +23,313 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The stored payload bytes a row's fingerprint covers.
-std::span<const std::byte> row_payload(const KVCache::Row& row) {
-  if (row.quantized.defined()) {
-    const std::vector<std::uint8_t>& payload = row.quantized.payload();
-    return std::as_bytes(
-        std::span<const std::uint8_t>(payload.data(), payload.size()));
-  }
-  return row.plain.raw();
-}
-
-/// A deep copy of `row` with bit `flip` of its payload inverted — the
-/// "wire" copy a bit-rot fault would deliver. The stored row (whose payload
-/// clones share) is never mutated.
-KVCache::Row flip_row(const KVCache::Row& row, std::int64_t flip) {
-  KVCache::Row out;
-  const auto byte_index = static_cast<std::size_t>(flip / 8);
-  const auto mask = static_cast<std::uint8_t>(1u << (flip % 8));
-  if (row.quantized.defined()) {
-    std::vector<std::uint8_t> payload = row.quantized.payload();
-    payload[byte_index] ^= mask;
-    out.quantized = tensor::QuantizedTensor::from_parts(
-        row.quantized.original_shape(),
-        tensor::QuantConfig{row.quantized.bits(), row.quantized.group_size()},
-        row.quantized.padded_numel(), std::move(payload),
-        row.quantized.group_min(), row.quantized.group_scale());
-  } else {
-    out.plain = row.plain.clone();
-    out.plain.raw()[byte_index] ^= static_cast<std::byte>(mask);
-  }
-  return out;
-}
-
 }  // namespace
 
-KVCache::KVCache(std::int64_t hidden, int bits, std::int64_t group_size,
-                 MemoryPool& pool)
-    : hidden_(hidden), bits_(bits), group_size_(group_size), pool_(&pool) {
-  LMO_CHECK_GT(hidden, 0);
-  LMO_CHECK(bits == 16 || bits == 8 || bits == 4);
-  LMO_CHECK_GT(group_size, 0);
+const char* to_string(KVFlavor flavor) {
+  return flavor == KVFlavor::kWindow ? "window" : "dense";
 }
 
-KVCache::~KVCache() {
-  if (pool_ != nullptr && stored_bytes_ > 0) {
-    pool_->release(stored_bytes_);
-  }
+KVFlavor kv_flavor_from_string(const std::string& name) {
+  if (name == "dense") return KVFlavor::kDense;
+  if (name == "window") return KVFlavor::kWindow;
+  throw util::ConfigError("unknown KV flavor '" + name +
+                          "' (expected dense or window)");
 }
 
-KVCache::Row KVCache::make_row(const tensor::Tensor& row) {
-  LMO_CHECK_EQ(row.shape().rank(), 1u);
-  LMO_CHECK_EQ(row.shape()[0], hidden_);
-  Row out;
-  if (bits_ == 16) {
-    out.plain = row.clone();
+std::size_t kv_bytes_per_token(std::int64_t hidden, int bits) {
+  return std::max<std::size_t>(
+      1, static_cast<std::size_t>(2.0 * static_cast<double>(hidden) *
+                                  (static_cast<double>(bits) / 8.0)));
+}
+
+// ------------------------------------------------------------ block pool --
+
+KVBlockPool::KVBlockPool(const KVBlockPoolConfig& config, MemoryPool* pool)
+    : config_(config), pool_(pool) {
+  LMO_CHECK_GT(config_.block_tokens, 0);
+  LMO_CHECK_GE(config_.hidden, 0);
+  LMO_CHECK(config_.bits == 16 || config_.bits == 8 || config_.bits == 4);
+  if (!materialized()) {
+    block_bytes_ = config_.bytes_per_block;
+  } else if (config_.bits == 16) {
+    payload_bytes_ = row_bytes_ =
+        static_cast<std::size_t>(config_.hidden) * sizeof(float);
   } else {
-    const auto start = std::chrono::steady_clock::now();
-    out.quantized =
-        tensor::quantize(row, tensor::QuantConfig{bits_, group_size_});
-    quantize_seconds_ += seconds_since(start);
+    const std::int64_t gs = config_.group_size;
+    LMO_CHECK_GT(gs, 0);
+    LMO_CHECK_MSG(config_.bits == 8 || gs % 2 == 0,
+                  "4-bit groups must have even size for byte packing");
+    row_groups_ = (config_.hidden + gs - 1) / gs;
+    payload_bytes_ = static_cast<std::size_t>(row_groups_ * gs *
+                                              config_.bits / 8);
+    const std::size_t bytes =
+        2 * static_cast<std::size_t>(row_groups_) * sizeof(float) +
+        payload_bytes_;
+    row_bytes_ = (bytes + sizeof(float) - 1) / sizeof(float) * sizeof(float);
   }
-  return out;
+  if (materialized()) {
+    block_bytes_ = 2 * static_cast<std::size_t>(config_.block_tokens) *
+                   row_bytes_;
+  }
+  LMO_CHECK_GT(block_bytes_, 0u);
 }
 
-std::size_t KVCache::row_bytes(const Row& row) const {
-  return row.quantized.defined() ? row.quantized.byte_size()
-                                 : row.plain.byte_size();
+KVBlockPool::~KVBlockPool() {
+  // Blocks still referenced at teardown (a lease or cache outliving its
+  // owner — a usage error guarded elsewhere) return their bytes.
+  if (pool_ != nullptr && live_ > 0) pool_->release(live_ * block_bytes_);
+}
+
+KVBlockPool::Block& KVBlockPool::live_block(std::int64_t id) {
+  LMO_CHECK_GE(id, 0);
+  LMO_CHECK_LT(id, static_cast<std::int64_t>(blocks_.size()));
+  Block& b = *blocks_[static_cast<std::size_t>(id)];
+  LMO_CHECK_MSG(b.refs > 0, "KV block id refers to a freed block");
+  return b;
+}
+
+std::int64_t KVBlockPool::allocate_impl(bool throw_on_refusal) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (config_.capacity_bytes > 0 &&
+      (live_ + 1) * block_bytes_ > config_.capacity_bytes) {
+    if (throw_on_refusal) {
+      throw util::ResourceExhausted("KV block pool budget exhausted");
+    }
+    return -1;
+  }
+  ++live_;  // reserve the budget before charging
+  if (pool_ != nullptr) {
+    // Unlocked: the charge may fire pressure callbacks that free blocks of
+    // this pool.
+    lock.unlock();
+    try {
+      pool_->charge(block_bytes_);
+    } catch (const util::ResourceExhausted&) {
+      lock.lock();
+      --live_;
+      if (throw_on_refusal) throw;
+      return -1;
+    }
+    lock.lock();
+  }
+  std::int64_t id;
+  if (!free_.empty()) {
+    id = free_.back();
+    free_.pop_back();
+  } else {
+    id = static_cast<std::int64_t>(blocks_.size());
+    blocks_.push_back(std::make_unique<Block>());
+  }
+  Block& b = *blocks_[static_cast<std::size_t>(id)];
+  b.data.assign(materialized() ? block_bytes_ / sizeof(float) : 0, 0.0f);
+  b.refs = 1;
+  return id;
+}
+
+std::int64_t KVBlockPool::try_allocate() { return allocate_impl(false); }
+
+std::int64_t KVBlockPool::allocate() { return allocate_impl(true); }
+
+void KVBlockPool::ref(std::int64_t id) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++live_block(id).refs;
+}
+
+bool KVBlockPool::unref(std::int64_t id) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--live_block(id).refs > 0) return false;
+    free_.push_back(id);
+    --live_;
+  }
+  if (pool_ != nullptr) pool_->release(block_bytes_);
+  return true;
+}
+
+int KVBlockPool::refcount(std::int64_t id) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return const_cast<KVBlockPool*>(this)->live_block(id).refs;
+}
+
+float* KVBlockPool::data(std::int64_t id) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Block& b = live_block(id);
+  return b.data.empty() ? nullptr : b.data.data();
+}
+
+std::size_t KVBlockPool::live_blocks() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return live_;
+}
+
+// -------------------------------------------------------------- KV cache --
+
+KVCache::KVCache(KVBlockPool& pool, std::int64_t window, RowChecks checks)
+    : pool_(&pool), window_(window), checks_(checks) {
+  LMO_CHECK_MSG(pool.materialized(), "a KV cache needs a materialized pool");
+  LMO_CHECK_GE(window, 0);
+}
+
+KVCache::KVCache(const kvshare::PrefixLease& lease, std::int64_t layer)
+    : KVCache(lease.pool(), 0, RowChecks::kOff) {
+  for (std::size_t i = 0; i < lease.blocks(); ++i) {
+    const std::int64_t id = lease.block(i, layer);
+    pool_->ref(id);
+    blocks_.push_back(id);
+    data_.push_back(reinterpret_cast<std::byte*>(pool_->data(id)));
+  }
+  appended_ = lease.matched_tokens();
+}
+
+KVCache::~KVCache() { release_blocks(); }
+
+void KVCache::release_blocks() {
+  if (pool_ == nullptr) return;
+  for (std::int64_t id : blocks_) {
+    if (id >= 0) pool_->unref(id);
+  }
+  blocks_.clear();
+  data_.clear();
+}
+
+KVCache::KVCache(KVCache&& other) noexcept { *this = std::move(other); }
+
+KVCache& KVCache::operator=(KVCache&& other) noexcept {
+  if (this == &other) return *this;
+  release_blocks();
+  pool_ = other.pool_;
+  window_ = other.window_;
+  checks_ = other.checks_;
+  blocks_ = std::move(other.blocks_);
+  data_ = std::move(other.data_);
+  appended_ = other.appended_;
+  first_ = other.first_;
+  quantize_seconds_ = other.quantize_seconds_;
+  dequantize_seconds_ = other.dequantize_seconds_;
+  integrity_ = other.integrity_;
+  region_ = std::move(other.region_);
+  k_crcs_ = std::move(other.k_crcs_);
+  v_crcs_ = std::move(other.v_crcs_);
+  other.blocks_.clear();
+  other.data_.clear();
+  other.appended_ = other.first_ = 0;
+  return *this;
+}
+
+std::byte* KVCache::row_ptr(std::int64_t token, KVPlane plane) const {
+  const std::int64_t bt = pool_->block_tokens();
+  const std::int64_t slot =
+      token % bt + (plane == KVPlane::kValues ? bt : 0);
+  return data_[static_cast<std::size_t>(token / bt)] +
+         static_cast<std::size_t>(slot) * pool_->row_bytes();
+}
+
+const std::byte* KVCache::payload_of(const std::byte* row) const {
+  // A quantized row's mins and scales precede its codes.
+  return row + 2 * static_cast<std::size_t>(pool_->row_groups()) *
+                   sizeof(float);
+}
+
+std::byte* KVCache::writable_slot() {
+  const std::int64_t bt = pool_->block_tokens();
+  const std::int64_t slot = appended_ % bt;
+  if (slot == 0) {
+    const std::int64_t id = pool_->allocate();
+    blocks_.push_back(id);
+    data_.push_back(reinterpret_cast<std::byte*>(pool_->data(id)));
+  } else if (pool_->refcount(blocks_.back()) > 1) {
+    // Copy-on-write: a fork or the prefix cache still reads the tail
+    // block, so its live rows move to a private block before the write.
+    const std::int64_t fresh = pool_->allocate();
+    auto* dst = reinterpret_cast<std::byte*>(pool_->data(fresh));
+    const std::byte* src = data_.back();
+    const std::size_t live = static_cast<std::size_t>(slot) *
+                             pool_->row_bytes();
+    const std::size_t plane = static_cast<std::size_t>(bt) *
+                              pool_->row_bytes();
+    std::memcpy(dst, src, live);
+    std::memcpy(dst + plane, src + plane, live);
+    pool_->unref(blocks_.back());
+    blocks_.back() = fresh;
+    data_.back() = dst;
+  }
+  return row_ptr(appended_, KVPlane::kKeys);
+}
+
+void KVCache::note_appended() {
+  if (integrity_ != nullptr && integrity_->enabled()) {
+    const auto print = [&](KVPlane plane) {
+      return util::crc32(
+          std::span(payload_of(row_ptr(appended_, plane)),
+                    pool_->row_payload_bytes()));
+    };
+    k_crcs_.push_back(print(KVPlane::kKeys));
+    v_crcs_.push_back(print(KVPlane::kValues));
+  }
+  ++appended_;
+  if (window_ == 0 || appended_ - first_ <= window_) return;
+  // The window slides by one row; once it leaves a block boundary behind,
+  // no visible row uses the block before it.
+  ++first_;
+  if (first_ % pool_->block_tokens() != 0) return;
+  const auto b = static_cast<std::size_t>(first_ / pool_->block_tokens() - 1);
+  pool_->unref(blocks_[b]);
+  blocks_[b] = -1;
+  data_[b] = nullptr;
 }
 
 void KVCache::append(const tensor::Tensor& k_row,
                      const tensor::Tensor& v_row) {
-  Row k = make_row(k_row);
-  Row v = make_row(v_row);
-  const std::size_t bytes = row_bytes(k) + row_bytes(v);
-  pool_->charge(bytes);
-  stored_bytes_ += bytes;
-  if (integrity_ != nullptr && integrity_->enabled()) {
-    k_crcs_.push_back(util::crc32(row_payload(k)));
-    v_crcs_.push_back(util::crc32(row_payload(v)));
+  const std::int64_t hidden = pool_->hidden();
+  LMO_CHECK_EQ(k_row.shape().rank(), 1u);
+  LMO_CHECK_EQ(k_row.shape()[0], hidden);
+  LMO_CHECK(k_row.shape() == v_row.shape());
+  std::byte* k = writable_slot();
+  std::byte* v = row_ptr(appended_, KVPlane::kValues);
+  if (pool_->bits() == 16) {
+    const std::size_t bytes = pool_->row_bytes();
+    std::memcpy(k, k_row.f32().data(), bytes);
+    std::memcpy(v, v_row.f32().data(), bytes);
+  } else {
+    const auto start = std::chrono::steady_clock::now();
+    const tensor::QuantConfig config{pool_->bits(), pool_->group_size()};
+    for (auto [row, dst] : {std::pair{&k_row, k}, std::pair{&v_row, v}}) {
+      const tensor::QuantizedTensor q = tensor::quantize(*row, config);
+      const std::size_t meta = q.group_min().size() * sizeof(float);
+      std::memcpy(dst, q.group_min().data(), meta);
+      std::memcpy(dst + meta, q.group_scale().data(), meta);
+      std::memcpy(dst + 2 * meta, q.payload().data(), q.payload().size());
+    }
+    quantize_seconds_ += seconds_since(start);
   }
-  k_rows_.push_back(std::move(k));
-  v_rows_.push_back(std::move(v));
-  ++length_;
+  note_appended();
+}
+
+void KVCache::append_stored(std::span<const std::byte> k_row,
+                            std::span<const std::byte> v_row) {
+  LMO_CHECK_EQ(k_row.size(), pool_->row_bytes());
+  LMO_CHECK_EQ(v_row.size(), pool_->row_bytes());
+  std::memcpy(writable_slot(), k_row.data(), k_row.size());
+  std::memcpy(row_ptr(appended_, KVPlane::kValues), v_row.data(),
+              v_row.size());
+  note_appended();
+}
+
+std::span<const std::byte> KVCache::stored_row(KVPlane plane,
+                                               std::int64_t index) const {
+  return {row_ptr(first_ + index, plane), pool_->row_bytes()};
 }
 
 void KVCache::set_integrity(integrity::ChecksumRegistry* registry,
                             std::string region) {
-  LMO_CHECK_MSG(length_ == 0,
+  LMO_CHECK_MSG(appended_ == 0,
                 "set_integrity must precede appends so every row gets a "
                 "fingerprint");
   integrity_ = registry;
   region_ = std::move(region);
 }
 
-tensor::Tensor KVCacheBase::copy_plane(KVPlane plane) const {
+tensor::Tensor KVCache::copy_plane(KVPlane plane) const {
   KVRowView view;
   read_rows(plane, view);
   const std::int64_t h = hidden();
@@ -129,138 +344,127 @@ tensor::Tensor KVCacheBase::copy_plane(KVPlane plane) const {
 }
 
 void KVCache::read_rows(KVPlane plane, KVRowView& view) const {
-  const bool keys = plane == KVPlane::kKeys;
-  const std::vector<Row>& rows = keys ? k_rows_ : v_rows_;
-  const std::vector<std::uint32_t>& crcs = keys ? k_crcs_ : v_crcs_;
+  const std::vector<std::uint32_t>& crcs =
+      plane == KVPlane::kKeys ? k_crcs_ : v_crcs_;
   auto& injector = util::FaultInjector::instance();
-  const bool inject = injector.enabled();
+  const bool inject = checks_ == RowChecks::kOn && injector.enabled();
   const bool check =
       integrity_ != nullptr && integrity_->enabled() && !crcs.empty();
-  view.rows.resize(static_cast<std::size_t>(length_));
-  // Row i decodes into scratch slot i, so earlier pointers stay valid.
-  if (bits_ != 16 || inject) {
-    view.scratch.resize(static_cast<std::size_t>(length_ * hidden_));
-  }
-  for (std::int64_t i = 0; i < length_; ++i) {
-    const Row& stored = rows[static_cast<std::size_t>(i)];
-    const Row* src = &stored;
-    Row wire;
-    if (inject) {
-      // The read-back crosses the same fragile path the write took; model
-      // bit rot on a copy — clones share the stored payload, which must
-      // stay pristine.
-      // The flip domain is the fingerprinted payload span — byte_size()
-      // also counts quantization metadata the wire copy does not carry.
-      const std::int64_t flip = injector.corrupt_bit(
-          kKvFlipSite,
-          8 * static_cast<std::uint64_t>(row_payload(stored).size()));
-      if (flip >= 0) {
-        wire = flip_row(stored, flip);
-        src = &wire;
+  const bool quantized = pool_->bits() != 16;
+  const std::int64_t hidden = pool_->hidden();
+  const std::int64_t groups = pool_->row_groups();
+  const std::size_t payload_bytes = pool_->row_payload_bytes();
+  const std::size_t n = static_cast<std::size_t>(length());
+  view.rows.resize(n);
+  if (!quantized && !inject && !check) {
+    // f32 rows in place, walked block by block.
+    const std::int64_t bt = pool_->block_tokens();
+    std::size_t i = 0;
+    for (std::int64_t t = first_; t < appended_;) {
+      const std::byte* row = row_ptr(t, plane);
+      for (const std::int64_t end = std::min(appended_, (t / bt + 1) * bt);
+           t < end; ++t, row += pool_->row_bytes()) {
+        view.rows[i++] = reinterpret_cast<const float*>(row);
       }
     }
+    return;
+  }
+  // Row i decodes into scratch slot i, so earlier pointers stay valid.
+  if (quantized || inject) {
+    view.scratch.resize(n * static_cast<std::size_t>(hidden));
+  }
+  std::vector<std::byte> wire;
+  for (std::int64_t t = first_; t < appended_; ++t) {
+    const std::size_t i = static_cast<std::size_t>(t - first_);
+    const std::byte* row = row_ptr(t, plane);
+    float* slot = view.scratch.data() + i * static_cast<std::size_t>(hidden);
+    if (inject) {
+      // The read-back crosses the same fragile path the write took; model
+      // bit rot on a wire copy — the stored row, which forks and the
+      // prefix cache may share, stays pristine. The flip domain is the
+      // fingerprinted payload.
+      const std::int64_t flip =
+          injector.corrupt_bit(kKvFlipSite, 8 * payload_bytes);
+      if (flip >= 0) {
+        wire.assign(row, row + pool_->row_bytes());
+        const auto at = static_cast<std::size_t>(payload_of(row) - row) +
+                        static_cast<std::size_t>(flip / 8);
+        wire[at] ^= static_cast<std::byte>(1u << (flip % 8));
+        row = wire.data();
+      }
+    }
+    const std::byte* payload = payload_of(row);
     if (check &&
-        integrity_->config().should_verify(static_cast<std::uint64_t>(i)) &&
-        !integrity_->verify_value(row_payload(*src),
-                                  crcs[static_cast<std::size_t>(i)])) {
+        integrity_->config().should_verify(static_cast<std::uint64_t>(t)) &&
+        !integrity_->verify_value(std::span(payload, payload_bytes),
+                                  crcs[static_cast<std::size_t>(t)])) {
       // The stored row itself may be rot (not just the wire copy), so
       // re-reading cannot repair it; the Generator recomputes the cache
       // from the token history.
-      throw util::DataCorruption("KV row " + std::to_string(i) + " of " +
+      throw util::DataCorruption("KV row " + std::to_string(t) + " of " +
                                  (region_.empty() ? "<unnamed>" : region_) +
                                  " failed verification");
     }
-    const float* row = nullptr;
-    if (src == &stored && stored.plain.defined()) {
-      row = stored.plain.f32().data();  // in place: no copy
+    if (quantized) {
+      const auto start = std::chrono::steady_clock::now();
+      const auto* meta = reinterpret_cast<const float*>(row);
+      const auto g = static_cast<std::size_t>(groups);
+      tensor::dequantize_into(
+          std::span(reinterpret_cast<const std::uint8_t*>(payload),
+                    payload_bytes),
+          std::span(meta, g), std::span(meta + g, g), pool_->bits(),
+          pool_->group_size(),
+          std::span(slot, static_cast<std::size_t>(hidden)));
+      dequantize_seconds_ += seconds_since(start);
+      view.rows[i] = slot;
+    } else if (row == wire.data()) {
+      std::memcpy(slot, row, payload_bytes);
+      view.rows[i] = slot;
     } else {
-      float* slot = view.scratch.data() + i * hidden_;
-      if (src->quantized.defined()) {
-        const auto start = std::chrono::steady_clock::now();
-        tensor::dequantize_into(src->quantized, slot);
-        dequantize_seconds_ += seconds_since(start);
-      } else {
-        std::memcpy(slot, src->plain.f32().data(),
-                    static_cast<std::size_t>(hidden_) * sizeof(float));
-      }
-      row = slot;
+      view.rows[i] = reinterpret_cast<const float*>(row);  // in place
     }
-    view.rows[static_cast<std::size_t>(i)] = row;
   }
 }
 
 void KVCache::truncate(std::int64_t new_length) {
   LMO_CHECK_GE(new_length, 0);
-  LMO_CHECK_LE(new_length, length_);
-  while (length_ > new_length) {
-    const std::size_t bytes =
-        row_bytes(k_rows_.back()) + row_bytes(v_rows_.back());
-    k_rows_.pop_back();
-    v_rows_.pop_back();
-    if (!k_crcs_.empty()) {
-      k_crcs_.pop_back();
-      v_crcs_.pop_back();
-    }
-    pool_->release(bytes);
-    stored_bytes_ -= bytes;
-    --length_;
+  LMO_CHECK_LE(new_length, length());
+  appended_ = first_ + new_length;
+  if (!k_crcs_.empty()) {
+    k_crcs_.resize(static_cast<std::size_t>(appended_));
+    v_crcs_.resize(static_cast<std::size_t>(appended_));
+  }
+  const std::int64_t bt = pool_->block_tokens();
+  const auto keep = static_cast<std::size_t>((appended_ + bt - 1) / bt);
+  while (blocks_.size() > keep) {
+    if (blocks_.back() >= 0) pool_->unref(blocks_.back());
+    blocks_.pop_back();
+    data_.pop_back();
   }
 }
 
-double KVCache::dequantize_seconds() const { return dequantize_seconds_; }
-
-void KVCache::restore_rows(std::vector<Row> k, std::vector<Row> v) {
-  LMO_CHECK_MSG(length_ == 0, "restore_rows requires an empty cache");
-  LMO_CHECK_EQ(k.size(), v.size());
-  std::size_t bytes = 0;
-  for (const auto* rows : {&k, &v}) {
-    for (const Row& row : *rows) {
-      if (bits_ == 16) {
-        LMO_CHECK_MSG(row.plain.defined() && !row.quantized.defined(),
-                      "restored row compression does not match bits=16 cache");
-        LMO_CHECK_EQ(row.plain.shape().rank(), 1u);
-        LMO_CHECK_EQ(row.plain.shape()[0], hidden_);
-      } else {
-        LMO_CHECK_MSG(row.quantized.defined() && !row.plain.defined(),
-                      "restored row compression does not match quantized cache");
-        LMO_CHECK_EQ(row.quantized.bits(), bits_);
-        LMO_CHECK_EQ(row.quantized.original_shape().numel(), hidden_);
-      }
-      bytes += row_bytes(row);
-    }
+KVCache KVCache::clone() const {
+  KVCache copy(*pool_, window_, checks_);
+  for (std::int64_t id : blocks_) {
+    if (id >= 0) pool_->ref(id);
   }
-  pool_->charge(bytes);
-  stored_bytes_ += bytes;
-  length_ = static_cast<std::int64_t>(k.size());
-  k_rows_ = std::move(k);
-  v_rows_ = std::move(v);
-  if (integrity_ != nullptr && integrity_->enabled()) {
-    // Restored rows arrive CRC-protected by the checkpoint envelope;
-    // re-fingerprint them so at-rest verification resumes seamlessly.
-    k_crcs_.clear();
-    v_crcs_.clear();
-    for (const Row& row : k_rows_) k_crcs_.push_back(util::crc32(row_payload(row)));
-    for (const Row& row : v_rows_) v_crcs_.push_back(util::crc32(row_payload(row)));
-  }
-}
-
-std::unique_ptr<KVCacheBase> KVCache::clone() const {
-  auto copy = std::make_unique<KVCache>(hidden_, bits_, group_size_, *pool_);
-  // Rows hold shared-immutable payloads; copying the row vectors is a deep
-  // logical copy. Charge the pool for the duplicate residency *before*
-  // populating the copy: if the charge throws (pool pressure or fault
-  // injection), the copy must not carry bytes its destructor would release
-  // without ever having charged.
-  pool_->charge(stored_bytes_);
-  copy->k_rows_ = k_rows_;
-  copy->v_rows_ = v_rows_;
-  copy->length_ = length_;
-  copy->stored_bytes_ = stored_bytes_;
-  copy->integrity_ = integrity_;
-  copy->region_ = region_;
-  copy->k_crcs_ = k_crcs_;
-  copy->v_crcs_ = v_crcs_;
+  copy.blocks_ = blocks_;
+  copy.data_ = data_;
+  copy.appended_ = appended_;
+  copy.first_ = first_;
+  copy.integrity_ = integrity_;
+  copy.region_ = region_;
+  copy.k_crcs_ = k_crcs_;
+  copy.v_crcs_ = v_crcs_;
   return copy;
+}
+
+std::size_t KVCache::private_bytes() const {
+  std::size_t bytes = 0;
+  for (std::int64_t id : blocks_) {
+    if (id >= 0 && pool_->refcount(id) == 1) bytes += pool_->block_bytes();
+  }
+  return bytes;
 }
 
 }  // namespace lmo::runtime

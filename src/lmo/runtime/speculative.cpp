@@ -14,9 +14,7 @@ class Decoder {
  public:
   explicit Decoder(Generator& generator)
       : transformer_(generator.transformer()),
-        cache_(transformer_.make_cache(generator.config().kv_bits,
-                                       generator.config().quant_group,
-                                       generator.host_pool())) {}
+        cache_(transformer_.make_cache(generator.kv_blocks())) {}
 
   std::int64_t context() const { return context_; }
 
@@ -41,7 +39,7 @@ class Decoder {
   /// Roll the caches back to `new_context` tokens.
   void rollback(std::int64_t new_context) {
     LMO_CHECK_LE(new_context, context_);
-    for (auto& layer_cache : cache_) layer_cache->truncate(new_context);
+    for (KVCache& layer_cache : cache_) layer_cache.truncate(new_context);
     context_ = new_context;
   }
 

@@ -87,15 +87,14 @@ Transformer::Transformer(const model::ModelSpec& spec,
   }
 }
 
-SequenceCache Transformer::make_cache(int kv_bits, std::int64_t group_size,
-                                      MemoryPool& pool) const {
-  KvCacheSpec kv;
-  kv.hidden = spec_.hidden;
-  kv.num_layers = spec_.num_layers;
-  kv.kv_bits = kv_bits;
-  kv.quant_group = group_size;
-  kv.pool = &pool;
-  return MakeKvCache(KVFlavor::kDense, kv);
+SequenceCache Transformer::make_cache(KVBlockPool& pool) const {
+  LMO_CHECK_EQ(pool.hidden(), spec_.hidden);
+  SequenceCache cache;
+  cache.reserve(static_cast<std::size_t>(spec_.num_layers));
+  for (std::int64_t layer = 0; layer < spec_.num_layers; ++layer) {
+    cache.emplace_back(pool);
+  }
+  return cache;
 }
 
 Tensor Transformer::embed(std::span<const std::int64_t> tokens) {
@@ -130,7 +129,7 @@ Transformer::LayerWeights Transformer::fetch_layer(std::int64_t layer) {
 }
 
 void Transformer::attention(const float* q, std::int64_t t_new,
-                            const KVCacheBase& cache, KVViews& views,
+                            const KVCache& cache, KVViews& views,
                             float* out) {
   const std::int64_t h = spec_.hidden;
   const std::int64_t heads = spec_.num_heads;
@@ -157,7 +156,7 @@ void Transformer::attention(const float* q, std::int64_t t_new,
         // Causal horizon in the cache's visible rows: everything up to and
         // including token i's own row (the last t_new rows are the new
         // tokens). Equivalent to prior+i+1 for exact caches, and correct
-        // under eviction (WindowKVCache), where total < prior + t_new.
+        // under a sliding window, where total < prior + t_new.
         const std::int64_t visible = total - (t_new - 1 - i);
         if (visible <= 0) continue;  // fully evicted context (tiny window)
         const float* qrow = q + i * h + off;
@@ -228,8 +227,8 @@ void Transformer::layer_forward(const LayerWeights& w, std::int64_t layer,
     std::int64_t row0 = 0;
     for (std::size_t m = 0; m < group.rows.size(); ++m) {
       const std::int64_t t_new = group.rows[m];
-      KVCacheBase& cache =
-          *(*caches[group.first + m])[static_cast<std::size_t>(layer)];
+      KVCache& cache =
+          (*caches[group.first + m])[static_cast<std::size_t>(layer)];
       {
         // Appended quantized at rest if enabled.
         const auto span = task_span("store_cache");

@@ -1,13 +1,14 @@
 // A real (laptop-scale) pre-LayerNorm transformer executed through the
 // offloading substrate: every layer's weights are fetched from the
 // OffloadManager (possibly dequantized host payloads), the KV cache is a
-// real KVCache (possibly compressed at rest), and all math runs in f32 via
+// real block-table KVCache (possibly compressed at rest), and all math runs
+// in f32 via
 // lmo::tensor ops. The walk is layer-outer so one weight fetch serves every
 // sequence in the batch — the same amortization the zig-zag block schedule
 // exploits — and consecutive sequences are stacked into row groups so each
 // weight is applied with one GEMM per group rather than once per sequence
 // (FlexGen's batch amortization). Attention and the KV append stay per
-// sequence; attention reads cache rows in place (KVCacheBase::read_rows).
+// sequence; attention reads cache rows in place (KVCache::read_rows).
 //
 // Trace spans (docs/observability.md): a `compute` span covers one row
 // group's LayerNorm + QKV projections, and another its output projection +
@@ -28,7 +29,6 @@
 #include "lmo/model/llm_config.hpp"
 #include "lmo/parallel/threadpool.hpp"
 #include "lmo/runtime/kv_cache.hpp"
-#include "lmo/runtime/kv_factory.hpp"
 #include "lmo/runtime/offload_manager.hpp"
 #include "lmo/tensor/tensor.hpp"
 #include "lmo/util/rng.hpp"
@@ -48,10 +48,9 @@ class Transformer {
 
   const model::ModelSpec& spec() const { return spec_; }
 
-  /// Fresh dense per-sequence caches (`spec.num_layers` of them) — a
-  /// convenience over runtime::MakeKvCache with this model's dimensions.
-  SequenceCache make_cache(int kv_bits, std::int64_t group_size,
-                           MemoryPool& pool) const;
+  /// Fresh full-attention caches for one sequence, one per layer, over
+  /// `pool` (whose row width must be this model's hidden size).
+  SequenceCache make_cache(KVBlockPool& pool) const;
 
   /// Embed a token sequence → [T, h].
   tensor::Tensor embed(std::span<const std::int64_t> tokens);
@@ -110,7 +109,7 @@ class Transformer {
                      KVViews& views);
   /// Causal attention of one sequence's `t_new` query rows `q` over
   /// `cache` (already holding them), written to `out` ([t_new, h] rows).
-  void attention(const float* q, std::int64_t t_new, const KVCacheBase& cache,
+  void attention(const float* q, std::int64_t t_new, const KVCache& cache,
                  KVViews& views, float* out);
 
   model::ModelSpec spec_;

@@ -11,7 +11,7 @@
 #include "lmo/kvshare/prefix_cache.hpp"
 #include "lmo/parallel/adaptive_controller.hpp"
 #include "lmo/perfmodel/estimator.hpp"
-#include "lmo/runtime/kv_factory.hpp"
+#include "lmo/runtime/kv_cache.hpp"
 #include "lmo/runtime/mempool.hpp"
 #include "lmo/util/check.hpp"
 #include "lmo/util/validate.hpp"
@@ -120,11 +120,13 @@ struct Active {
   int tid() const { return static_cast<int>(request->id) + 1; }
 };
 
-/// A queued attempt: the original request plus retry bookkeeping.
+/// A queued attempt: the original request plus retry bookkeeping. A
+/// deadline retry carries the swap-outs of its earlier attempts along.
 struct Queued {
   const Request* request = nullptr;
   double submit = 0.0;
   int attempt = 1;
+  int preemptions = 0;
 };
 
 /// Prompt tokens an admission round pushes through prefill, and over how
@@ -550,11 +552,13 @@ struct Engine {
   }
 
   /// Close a request that never got a slot (refused or dropped from the
-  /// queue): no tokens, no first token, no preemptions.
-  void refuse(const Request* r, int attempt, Exit how) {
+  /// queue): no tokens and no first token, only the swap-outs of earlier
+  /// attempts.
+  void refuse(const Queued& q, Exit how) {
     Active a;
-    a.request = r;
-    a.attempt = attempt;
+    a.request = q.request;
+    a.attempt = q.attempt;
+    a.preemptions = q.preemptions;
     close(a, how);
   }
 
@@ -746,13 +750,13 @@ struct Engine {
 
   /// Every path into the wait queue — fresh arrivals and deadline-abort
   /// retries alike — goes through overload admission.
-  void enqueue(const Request* r, double submit, int attempt) {
+  void enqueue(const Queued& q) {
     if (ladder && ladder->rung() == overload::LadderRung::kShed) {
-      refuse(r, attempt, Exit::kShed);
+      refuse(q, Exit::kShed);
       return;
     }
     if (admission_ctl == nullptr) {
-      queue.push_back(Queued{r, submit, attempt});
+      queue.push_back(q);
       return;
     }
     std::vector<overload::AdmissionRequest> snapshot;
@@ -761,11 +765,11 @@ struct Engine {
       snapshot.push_back(describe(*q.request, q.submit));
     }
     const auto verdict = admission_ctl->decide(
-        snapshot, describe(*r, submit), clock,
+        snapshot, describe(*q.request, q.submit), clock,
         kv_pool != nullptr ? kv_pool->available()
                            : std::numeric_limits<std::size_t>::max());
     if (!verdict.admit) {
-      refuse(r, attempt, Exit::kRejected);
+      refuse(q, Exit::kRejected);
       return;
     }
     if (verdict.shed_queue_index >= 0) {
@@ -773,16 +777,16 @@ struct Engine {
       LMO_CHECK_LT(idx, queue.size());
       const Queued victim = queue[idx];
       queue.erase(queue.begin() + verdict.shed_queue_index);
-      refuse(victim.request, victim.attempt, Exit::kShed);
+      refuse(victim, Exit::kShed);
     }
-    queue.push_back(Queued{r, submit, attempt});
+    queue.push_back(q);
   }
 
   void pull_arrivals() {
     while (next_arrival < requests.size() &&
            requests[next_arrival].arrival_seconds <= clock) {
-      enqueue(&requests[next_arrival], requests[next_arrival].arrival_seconds,
-              1);
+      enqueue(Queued{&requests[next_arrival],
+                     requests[next_arrival].arrival_seconds});
       ++next_arrival;
     }
   }
@@ -850,6 +854,7 @@ struct Engine {
       a.request = q.request;
       a.submit = q.submit;
       a.attempt = q.attempt;
+      a.preemptions = q.preemptions;
       a.kv_bits = policy.kv_bits;
       if (ladder && ladder->rung() >= overload::LadderRung::kDemoteKV &&
           config.overload.demoted_kv_bits < policy.kv_bits) {
@@ -1016,7 +1021,8 @@ struct Engine {
       if (overdue.attempt <= config.max_retries) {
         drop_kv(overdue);
         m_retries.add();
-        enqueue(overdue.request, clock, overdue.attempt + 1);
+        enqueue(Queued{overdue.request, clock, overdue.attempt + 1,
+                       overdue.preemptions});
       } else {
         close(overdue, Exit::kAborted);
       }

@@ -152,25 +152,40 @@ QuantizedTensor quantize_profiled(const Tensor& input,
   return out;
 }
 
-void dequantize_into(const QuantizedTensor& quantized, float* out) {
-  LMO_CHECK(quantized.defined());
-  const std::int64_t gs = quantized.group_size();
-  const std::int64_t numel = quantized.original_shape().numel();
-  const bool packed4 = quantized.bits() == 4;
-  const std::uint8_t* payload = quantized.payload().data();
+void dequantize_into(std::span<const std::uint8_t> codes,
+                     std::span<const float> group_min,
+                     std::span<const float> group_scale, int bits,
+                     std::int64_t group_size, std::span<float> out) {
+  const auto numel = static_cast<std::int64_t>(out.size());
+  const bool packed4 = bits == 4;
+  LMO_CHECK_GE(static_cast<std::int64_t>(codes.size()) * (packed4 ? 2 : 1),
+               numel);
+  LMO_CHECK_GE(static_cast<std::int64_t>(group_min.size()) * group_size,
+               numel);
+  LMO_CHECK_EQ(group_min.size(), group_scale.size());
+  const std::uint8_t* payload = codes.data();
 
   // Eq. 11: x = q * scale + min (scale already folds in (max-min)/(2^b-1)).
   // Padding past numel is never written.
-  for (std::int64_t g = 0; g * gs < numel; ++g) {
-    const float mn = quantized.group_min()[static_cast<std::size_t>(g)];
-    const float scale = quantized.group_scale()[static_cast<std::size_t>(g)];
-    const std::int64_t end = std::min(numel, (g + 1) * gs);
-    for (std::int64_t i = g * gs; i < end; ++i) {
+  for (std::int64_t g = 0; g * group_size < numel; ++g) {
+    const float mn = group_min[static_cast<std::size_t>(g)];
+    const float scale = group_scale[static_cast<std::size_t>(g)];
+    const std::int64_t end = std::min(numel, (g + 1) * group_size);
+    for (std::int64_t i = g * group_size; i < end; ++i) {
       const int code =
           packed4 ? (payload[i / 2] >> (4 * (i % 2))) & 0x0f : payload[i];
-      out[i] = static_cast<float>(code) * scale + mn;
+      out[static_cast<std::size_t>(i)] = static_cast<float>(code) * scale + mn;
     }
   }
+}
+
+void dequantize_into(const QuantizedTensor& quantized, float* out) {
+  LMO_CHECK(quantized.defined());
+  dequantize_into(quantized.payload(), quantized.group_min(),
+                  quantized.group_scale(), quantized.bits(),
+                  quantized.group_size(),
+                  std::span<float>(out, static_cast<std::size_t>(
+                                            quantized.original_shape().numel())));
 }
 
 Tensor dequantize(const QuantizedTensor& quantized) {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "lmo/tensor/tensor.hpp"
@@ -105,8 +106,17 @@ QuantizedTensor quantize_profiled(const Tensor& input,
 Tensor dequantize(const QuantizedTensor& quantized);
 
 /// Same values, written to `out[original_shape().numel()]` without
-/// allocating (the KV read path decodes rows into reusable scratch).
+/// allocating.
 void dequantize_into(const QuantizedTensor& quantized, float* out);
+
+/// Eq. 11 over a quantized tensor's parts wherever they are stored (the KV
+/// read path decodes rows straight from their blocks into scratch):
+/// `codes` packed as quantize() packs them, one min and one scale per
+/// `group_size` elements. Writes out.size() values.
+void dequantize_into(std::span<const std::uint8_t> codes,
+                     std::span<const float> group_min,
+                     std::span<const float> group_scale, int bits,
+                     std::int64_t group_size, std::span<float> out);
 
 /// Worst-case absolute reconstruction error for a group spanning
 /// [min, max]: half a quantization step.

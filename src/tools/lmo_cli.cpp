@@ -643,6 +643,7 @@ int cmd_chaos_kill_resume(const Args& args) {
     while (!gen.done()) gen.step();
     resumed = gen.finish().tokens;
   }
+  std::remove(path.c_str());
 
   std::printf("chaos profile 'kill-resume' (seed %llu, fault rate %.0f%%) "
               "on %s, %s KV\n",
@@ -1365,8 +1366,9 @@ int cmd_chaos_faults(const Args& args) {
   std::printf("\n");
   report.print(std::cout);
 
-  std::printf("\nthroughput: %.1f tok/s clean -> %.1f tok/s under chaos\n",
-              clean.tokens_per_second, faulted.tokens_per_second);
+  // Wall-clock figures go to stderr so stdout stays deterministic.
+  std::fprintf(stderr, "\nthroughput: %.1f tok/s clean -> %.1f tok/s under "
+               "chaos\n", clean.tokens_per_second, faulted.tokens_per_second);
   save_metrics(args, chaos_gen.manager().metrics(),
                "chaos-run offload metrics");
 
@@ -1400,9 +1402,9 @@ constexpr ChaosProfile kChaosProfiles[] = {
      "[--rate P] [--kv-rate P] [--repair-attempts N]"},
     {"diskfault", cmd_chaos_diskfault, "[--rate P] [--read-rate P]"},
     {"kill-resume", cmd_chaos_kill_resume,
-     "[--rate P] [--kv dense|paged|window]"},
+     "[--rate P] [--kv dense|window]"},
     {"shared-prefix", cmd_chaos_shared_prefix,
-     "[--rate P] [--kv dense|paged] [--kv-block-tokens N]"},
+     "[--rate P] [--kv-block-tokens N]"},
     {"overload", cmd_chaos_overload, "[--burst-rate R] [--kv-pool-kb N]"},
     {"adaptive", cmd_chaos_adaptive, "[--windows N]"},
     {"crash", cmd_chaos_crash, "[--ops N] [--dir D]"},
@@ -1607,7 +1609,7 @@ int usage() {
                "[--retries N] [--kv-pool-mb N arms the degradation "
                "ladder]\n"
                "checkpoint: snapshot a generation mid-decode "
-               "([--at N] [--len N] [--kv dense|paged|window] [--out FILE]) "
+               "([--at N] [--len N] [--kv dense|window] [--out FILE]) "
                "or validate one without restoring (--verify FILE);"
                "\nresume: finish it from the file (--from FILE)\n"
                "serve integrity: --verify off|sample|always "

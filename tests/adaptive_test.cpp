@@ -18,7 +18,7 @@
 #include "lmo/parallel/parallelism_search.hpp"
 #include "lmo/parallel/threadpool.hpp"
 #include "lmo/runtime/generator.hpp"
-#include "lmo/runtime/kv_factory.hpp"
+#include "lmo/runtime/kv_cache.hpp"
 #include "lmo/runtime/mempool.hpp"
 #include "lmo/serve/server_sim.hpp"
 #include "lmo/sim/engine.hpp"
@@ -380,39 +380,22 @@ TEST(AdaptiveServe, RecoversThroughputUnderDegradedLink) {
   EXPECT_EQ(on.completed, off.completed);
 }
 
-// -- KV-cache factory ------------------------------------------------------
+// -- KV flavors ------------------------------------------------------------
 
 TEST(KvFactory, FlavorRoundTripsAndRejectsUnknown) {
   EXPECT_EQ(runtime::kv_flavor_from_string("dense"),
             runtime::KVFlavor::kDense);
-  EXPECT_EQ(runtime::kv_flavor_from_string("paged"),
-            runtime::KVFlavor::kPaged);
   EXPECT_EQ(runtime::kv_flavor_from_string("window"),
             runtime::KVFlavor::kWindow);
-  EXPECT_STREQ(runtime::to_string(runtime::KVFlavor::kPaged), "paged");
-  try {
-    runtime::kv_flavor_from_string("ring");
-    FAIL() << "expected ConfigError";
-  } catch (const util::ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("ring"), std::string::npos);
-  }
-}
-
-TEST(KvFactory, BuildsEachFlavor) {
-  runtime::MemoryPool pool("test", 64 << 20);
-  runtime::KVBlockPool pages({.block_tokens = 16, .hidden = 64}, &pool);
-  runtime::KvCacheSpec spec;
-  spec.hidden = 64;
-  spec.num_layers = 4;
-  spec.kv_bits = 16;
-  spec.pool = &pool;
-  spec.block_pool = &pages;
-  spec.window_tokens = 8;
-  for (auto flavor : {runtime::KVFlavor::kDense, runtime::KVFlavor::kPaged,
-                      runtime::KVFlavor::kWindow}) {
-    const auto cache = runtime::MakeKvCache(flavor, spec);
-    ASSERT_EQ(cache.size(), 4u) << runtime::to_string(flavor);
-    ASSERT_NE(cache[0], nullptr);
+  EXPECT_STREQ(runtime::to_string(runtime::KVFlavor::kWindow), "window");
+  // The paged flavor is gone: a dense cache is the same block table.
+  for (const char* name : {"ring", "paged"}) {
+    try {
+      runtime::kv_flavor_from_string(name);
+      FAIL() << "expected ConfigError for " << name;
+    } catch (const util::ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos);
+    }
   }
 }
 

@@ -13,8 +13,6 @@
 #include "lmo/integrity/integrity.hpp"
 #include "lmo/kvshare/prefix_cache.hpp"
 #include "lmo/runtime/kv_cache.hpp"
-#include "lmo/runtime/kv_factory.hpp"
-#include "lmo/runtime/paged_kv.hpp"
 #include "lmo/runtime/transformer.hpp"
 #include "lmo/telemetry/metrics.hpp"
 #include "lmo/tensor/ops.hpp"
@@ -54,8 +52,20 @@ struct HashCase {
   int kv_bits;
   std::int64_t device_layers;
   KVFlavor kv;
+  std::int64_t block_tokens;
   std::uint64_t digest;  ///< recorded from the per-sequence runtime
 };
+
+/// One sequence's caches: `layers` of them over `blocks`, each seeing
+/// every row (window 0) or the last `window` rows.
+SequenceCache make_caches(KVBlockPool& blocks, std::int64_t layers,
+                          std::int64_t window = 0) {
+  SequenceCache cache;
+  for (std::int64_t layer = 0; layer < layers; ++layer) {
+    cache.emplace_back(blocks, window);
+  }
+  return cache;
+}
 
 std::uint64_t fnv(std::uint64_t hash, std::span<const std::byte> bytes) {
   for (std::byte b : bytes) {
@@ -71,15 +81,12 @@ std::uint64_t forward_hash(const HashCase& c) {
   OffloadManager manager(device, host, c.weight_bits, 32);
   Transformer model(spec, manager, c.device_layers, 42);
   parallel::ThreadPool prefetch(2);
-  KVBlockPool pages({.block_tokens = 16, .hidden = spec.hidden}, &host);
-  KvCacheSpec kv;
-  kv.hidden = spec.hidden;
-  kv.num_layers = spec.num_layers;
-  kv.kv_bits = c.kv_bits;
-  kv.quant_group = 32;
-  kv.window_tokens = 32;
-  kv.pool = &host;
-  kv.block_pool = &pages;
+  KVBlockPool blocks({.block_tokens = c.block_tokens,
+                      .hidden = spec.hidden,
+                      .bits = c.kv_bits,
+                      .group_size = 32},
+                     &host);
+  const std::int64_t window = c.kv == KVFlavor::kWindow ? 32 : 0;
 
   util::Xoshiro256 rng(7);
   std::uint64_t hash = 1469598103934665603ull;
@@ -94,7 +101,7 @@ std::uint64_t forward_hash(const HashCase& c) {
     std::vector<Tensor> states;
     for (std::int64_t len : lengths) {
       states.push_back(model.embed(random_prompt(rng, len)));
-      caches.push_back(MakeKvCache(c.kv, kv));
+      caches.push_back(make_caches(blocks, spec.num_layers, window));
     }
     for (auto& cache : caches) cache_ptrs.push_back(&cache);
     for (int step = 0; step < 10; ++step) {
@@ -113,12 +120,14 @@ std::uint64_t forward_hash(const HashCase& c) {
 
 TEST(ForwardDigest, MatchesThePerSequenceRuntime) {
   const HashCase cases[] = {
-      {"fp16", 16, 16, 0, KVFlavor::kDense, 0x7bb915ebf21d3b34ull},
-      {"w4-kv4", 4, 4, 0, KVFlavor::kDense, 0xcdf16a2a0af666bdull},
-      {"w8-kv8", 8, 8, 0, KVFlavor::kDense, 0xe6839bf16b545fa1ull},
-      {"device-resident", 16, 16, 3, KVFlavor::kDense, 0xdded24c70659dee3ull},
-      {"paged", 16, 16, 0, KVFlavor::kPaged, 0x7bb915ebf21d3b34ull},
-      {"window", 16, 16, 0, KVFlavor::kWindow, 0xe5958dadddb3ccbdull},
+      {"fp16", 16, 16, 0, KVFlavor::kDense, 16, 0x7bb915ebf21d3b34ull},
+      {"w4-kv4", 4, 4, 0, KVFlavor::kDense, 16, 0xcdf16a2a0af666bdull},
+      {"w8-kv8", 8, 8, 0, KVFlavor::kDense, 16, 0xe6839bf16b545fa1ull},
+      {"device-resident", 16, 16, 3, KVFlavor::kDense, 16,
+       0xdded24c70659dee3ull},
+      // The former paged flavor: the block size never changes a digest.
+      {"paged", 16, 16, 0, KVFlavor::kDense, 4, 0x7bb915ebf21d3b34ull},
+      {"window", 16, 16, 0, KVFlavor::kWindow, 16, 0xe5958dadddb3ccbdull},
   };
   for (const HashCase& c : cases) {
     EXPECT_EQ(forward_hash(c), c.digest) << c.name;
@@ -169,8 +178,8 @@ void expect_batched_matches_per_sequence(const std::string& label,
       EXPECT_TRUE(same_bytes(batched[s], single[s]))
           << "round " << round << " seq " << s;
       for (std::size_t layer = 0; layer < batched_caches[s].size(); ++layer) {
-        const KVCacheBase& a = *batched_caches[s][layer];
-        const KVCacheBase& b = *single_caches[s][layer];
+        const KVCache& a = batched_caches[s][layer];
+        const KVCache& b = single_caches[s][layer];
         ASSERT_EQ(a.length(), b.length());
         EXPECT_TRUE(same_bytes(a.keys(), b.keys()))
             << "round " << round << " seq " << s << " layer " << layer;
@@ -191,28 +200,23 @@ TEST(BatchedForward, MatchesPerSequenceForEveryKvBackend) {
   const std::int64_t hidden = 128;
   const std::int64_t layers = 2;
   MemoryPool kv_pool("kv", 512u << 20);
-  KVBlockPool pages({.block_tokens = 16, .hidden = hidden}, &kv_pool);
-  KvCacheSpec spec;
-  spec.hidden = hidden;
-  spec.num_layers = layers;
-  spec.quant_group = 32;
-  spec.window_tokens = 24;  // smaller than the longest prompt: evicts
-  spec.pool = &kv_pool;
-  spec.block_pool = &pages;
   for (int bits : {16, 8, 4}) {
-    KvCacheSpec dense = spec;
-    dense.kv_bits = bits;
+    KVBlockPool blocks({.block_tokens = 16,
+                        .hidden = hidden,
+                        .bits = bits,
+                        .group_size = 32},
+                       &kv_pool);
     expect_batched_matches_per_sequence(
         "dense kv" + std::to_string(bits),
-        [&] { return MakeKvCache(KVFlavor::kDense, dense); });
+        [&] { return make_caches(blocks, layers); });
+    // A window smaller than the longest prompt: drops blocks.
+    expect_batched_matches_per_sequence(
+        "window kv" + std::to_string(bits),
+        [&] { return make_caches(blocks, layers, 24); });
   }
-  expect_batched_matches_per_sequence(
-      "paged", [&] { return MakeKvCache(KVFlavor::kPaged, spec); });
-  expect_batched_matches_per_sequence(
-      "window", [&] { return MakeKvCache(KVFlavor::kWindow, spec); });
 
   // Shared: every sequence starts from the same cached 8-token prefix
-  // (two 4-token blocks, published from a paged cache) and appends into
+  // (two 4-token blocks, published from another cache) and appends into
   // blocks of its own.
   KVBlockPool blocks({.block_tokens = 4, .hidden = hidden}, &kv_pool);
   kvshare::PrefixCache prefix(blocks, layers, nullptr);
@@ -222,20 +226,18 @@ TEST(BatchedForward, MatchesPerSequenceForEveryKvBackend) {
     tokens[i] = static_cast<std::int64_t>(i);
   }
   {
-    SequenceCache publisher;
-    for (std::int64_t layer = 0; layer < layers; ++layer) {
-      publisher.push_back(std::make_unique<PagedKVCache>(blocks));
+    SequenceCache publisher = make_caches(blocks, layers);
+    for (KVCache& layer : publisher) {
       for (int t = 0; t < 8; ++t) {
-        publisher.back()->append(Tensor::normal({hidden}, rng),
-                                 Tensor::normal({hidden}, rng));
+        layer.append(Tensor::normal({hidden}, rng),
+                     Tensor::normal({hidden}, rng));
       }
     }
     prefix.insert(std::span<const std::int64_t>(tokens).first(8),
                   [&](std::int64_t offset) {
                     std::vector<std::int64_t> ids;
-                    for (const auto& layer : publisher) {
-                      ids.push_back(static_cast<const PagedKVCache&>(*layer)
-                                        .block_table()[offset / 4]);
+                    for (const KVCache& layer : publisher) {
+                      ids.push_back(layer.block_table()[offset / 4]);
                     }
                     return ids;
                   });
@@ -246,7 +248,7 @@ TEST(BatchedForward, MatchesPerSequenceForEveryKvBackend) {
   expect_batched_matches_per_sequence("shared", [&] {
     SequenceCache cache;
     for (std::int64_t layer = 0; layer < layers; ++layer) {
-      cache.push_back(std::make_unique<PagedKVCache>(*lease, layer));
+      cache.emplace_back(*lease, layer);
     }
     return cache;
   });
@@ -265,7 +267,8 @@ Tensor ramp_row(std::int64_t hidden, float base) {
 
 TEST(KVRowView, F32RowsAreReadInPlace) {
   MemoryPool pool("host", 1 << 20);
-  KVCache cache(8, 16, 8, pool);
+  KVBlockPool f32_blocks({.block_tokens = 4, .hidden = 8}, &pool);
+  KVCache cache(f32_blocks);
   for (int i = 0; i < 5; ++i) {
     cache.append(ramp_row(8, static_cast<float>(i)),
                  ramp_row(8, -static_cast<float>(i)));
@@ -274,12 +277,16 @@ TEST(KVRowView, F32RowsAreReadInPlace) {
   cache.read_rows(KVPlane::kKeys, view);
   ASSERT_EQ(view.rows.size(), 5u);
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(view.rows[i], cache.k_rows()[i].plain.f32().data());
+    EXPECT_EQ(static_cast<const void*>(view.rows[i]),
+              cache.stored_row(KVPlane::kKeys,
+                               static_cast<std::int64_t>(i)).data());
   }
   EXPECT_TRUE(view.scratch.empty());  // nothing decoded, nothing copied
 
   // Quantized rows decode into the view's scratch, equal to keys().
-  KVCache quant(8, 4, 8, pool);
+  KVBlockPool kv4_blocks(
+      {.block_tokens = 4, .hidden = 8, .bits = 4, .group_size = 8}, &pool);
+  KVCache quant(kv4_blocks);
   for (int i = 0; i < 5; ++i) {
     quant.append(ramp_row(8, static_cast<float>(i)),
                  ramp_row(8, -static_cast<float>(i)));
@@ -317,8 +324,11 @@ TEST(KVRowView, IntegrityMatchesTheCopyingRead) {
     telemetry::MetricsRegistry metrics;
     integrity::ChecksumRegistry registry(config, &metrics);
     MemoryPool pool("host", 1 << 24);
-    KVCache verified(16, bits, 8, pool);
-    KVCache plain(16, bits, 8, pool);
+    KVBlockPool blocks(
+        {.block_tokens = 4, .hidden = 16, .bits = bits, .group_size = 8},
+        &pool);
+    KVCache verified(blocks);
+    KVCache plain(blocks);
     verified.set_integrity(&registry, "kv.parity");
     for (std::int64_t i = 0; i < kRows; ++i) {
       const Tensor k = ramp_row(16, static_cast<float>(i));

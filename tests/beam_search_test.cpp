@@ -6,7 +6,7 @@
 
 #include "lmo/runtime/beam_search.hpp"
 #include "lmo/runtime/evaluate.hpp"
-#include "lmo/runtime/paged_kv.hpp"
+#include "lmo/runtime/kv_cache.hpp"
 #include "lmo/util/check.hpp"
 
 namespace lmo::runtime {
@@ -25,38 +25,35 @@ RuntimeConfig tiny_config(std::uint64_t seed = 42) {
 
 // ------------------------------------------------------------------ clone --
 
-TEST(CacheClone, ContiguousDeepCopyChargesPool) {
-  MemoryPool pool("h", 1 << 20);
-  KVCache cache(8, 16, 8, pool);
-  util::Xoshiro256 rng(1);
-  for (int i = 0; i < 5; ++i) {
-    cache.append(Tensor::uniform({8}, rng), Tensor::uniform({8}, rng));
+TEST(CacheClone, SharesBlocksUntilOneSideWrites) {
+  for (const int bits : {16, 4}) {
+    MemoryPool mem("h", 1 << 20);
+    KVBlockPool pool(
+        {.block_tokens = 4, .hidden = 8, .bits = bits, .group_size = 8},
+        &mem);
+    KVCache cache(pool);
+    util::Xoshiro256 rng(1);
+    for (int i = 0; i < 5; ++i) {
+      cache.append(Tensor::uniform({8}, rng), Tensor::uniform({8}, rng));
+    }
+    const auto used_before = mem.used();
+    auto copy = cache.clone();
+    EXPECT_EQ(mem.used(), used_before);  // two shared blocks, no copy
+    EXPECT_EQ(pool.live_blocks(), 2u);
+    EXPECT_EQ(copy.length(), cache.length());
+    EXPECT_EQ(copy.keys().max_abs_diff(cache.keys()), 0.0f);
+    // Diverge the copy: its write copies the shared tail block only; the
+    // original is untouched.
+    const Tensor before = cache.keys();
+    copy.append(Tensor::uniform({8}, rng), Tensor::uniform({8}, rng));
+    EXPECT_EQ(mem.used(), used_before + pool.block_bytes());
+    EXPECT_EQ(cache.length(), 5);
+    EXPECT_EQ(copy.length(), 6);
+    EXPECT_EQ(cache.keys().max_abs_diff(before), 0.0f);
+    copy.truncate(0);
+    EXPECT_EQ(mem.used(), used_before);  // original intact
+    EXPECT_EQ(cache.length(), 5);
   }
-  const auto used_before = pool.used();
-  auto copy = cache.clone();
-  EXPECT_EQ(pool.used(), 2 * used_before);  // duplicate residency charged
-  EXPECT_EQ(copy->length(), cache.length());
-  EXPECT_EQ(copy->keys().max_abs_diff(cache.keys()), 0.0f);
-  // Diverge the copy; the original is untouched.
-  copy->append(Tensor::uniform({8}, rng), Tensor::uniform({8}, rng));
-  EXPECT_EQ(cache.length(), 5);
-  EXPECT_EQ(copy->length(), 6);
-}
-
-TEST(CacheClone, PagedCloneSharesBlocks) {
-  MemoryPool mem("p", 1 << 20);
-  KVBlockPool pool({.block_tokens = 4, .hidden = 8}, &mem);
-  PagedKVCache cache(pool);
-  util::Xoshiro256 rng(2);
-  for (int i = 0; i < 6; ++i) {
-    cache.append(Tensor::uniform({8}, rng), Tensor::uniform({8}, rng));
-  }
-  auto copy = cache.clone();
-  EXPECT_EQ(pool.live_blocks(), 2u);  // shared, not copied
-  EXPECT_EQ(copy->keys().max_abs_diff(cache.keys()), 0.0f);
-  copy->truncate(0);
-  EXPECT_EQ(pool.live_blocks(), 2u);  // original intact
-  EXPECT_EQ(cache.length(), 6);
 }
 
 // ------------------------------------------------------------ beam search --

@@ -1,11 +1,12 @@
 // Tests for the checkpoint subsystem: envelope validation (every corruption
 // mode maps to one typed error), tensor/KV codec bit-exactness, and the
 // headline robustness contract — a generation killed mid-decode and resumed
-// from its snapshot produces byte-identical tokens, for all three KV cache
-// flavors, even with a transient-fault chaos schedule active across the
-// kill.
+// from its snapshot produces byte-identical tokens, for both KV flavors at
+// every bit width, even with a transient-fault chaos schedule active across
+// the kill.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -17,7 +18,6 @@
 #include "lmo/ckpt/tensor_codec.hpp"
 #include "lmo/runtime/checkpoint.hpp"
 #include "lmo/runtime/generator.hpp"
-#include "lmo/runtime/window_kv.hpp"
 #include "lmo/util/check.hpp"
 #include "lmo/util/fault.hpp"
 #include "lmo/util/status.hpp"
@@ -284,25 +284,25 @@ TEST(CkptTensorCodec, GarbageShapeIsCorrupt) {
 
 // ------------------------------------------------------------ kv codec --
 
-runtime::KVRestoreContext context_for(runtime::MemoryPool& pool) {
-  runtime::KVRestoreContext context;
-  context.pool = &pool;
-  return context;
-}
-
-void expect_same_contents(const runtime::KVCacheBase& restored,
-                          const runtime::KVCacheBase& original) {
+void expect_same_contents(const runtime::KVCache& restored,
+                          const runtime::KVCache& original) {
   ASSERT_EQ(restored.length(), original.length());
   if (original.length() == 0) return;
   EXPECT_EQ(restored.keys().max_abs_diff(original.keys()), 0.0f);
   EXPECT_EQ(restored.values().max_abs_diff(original.values()), 0.0f);
 }
 
+runtime::KVBlockPoolConfig blocks_of(std::int64_t hidden, int bits) {
+  return {.block_tokens = 4, .hidden = hidden, .bits = bits,
+          .group_size = 16};
+}
+
 TEST(CkptKVCodec, DenseRoundTripsPlainAndQuantized) {
   util::Xoshiro256 rng(11);
   for (const int bits : {16, 8, 4}) {
     runtime::MemoryPool pool("h", 1 << 20);
-    runtime::KVCache cache(32, bits, 16, pool);
+    runtime::KVBlockPool blocks(blocks_of(32, bits), &pool);
+    runtime::KVCache cache(blocks);
     for (int i = 0; i < 5; ++i) {
       cache.append(tensor::Tensor::uniform({32}, rng),
                    tensor::Tensor::uniform({32}, rng));
@@ -310,30 +310,71 @@ TEST(CkptKVCodec, DenseRoundTripsPlainAndQuantized) {
     ckpt::ByteWriter writer;
     runtime::encode_kv_cache(writer, cache);
     ckpt::ByteReader reader(writer.buffer());
-    const auto restored =
-        runtime::decode_kv_cache(reader, context_for(pool));
+    runtime::KVCache restored(blocks);
+    runtime::decode_kv_cache(reader, restored);
     EXPECT_TRUE(reader.exhausted());
-    expect_same_contents(*restored, cache);
+    expect_same_contents(restored, cache);
+    // Stored bytes, quantization metadata included, come back verbatim.
+    for (std::int64_t i = 0; i < cache.length(); ++i) {
+      const auto a = cache.stored_row(runtime::KVPlane::kValues, i);
+      const auto b = restored.stored_row(runtime::KVPlane::kValues, i);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+    }
   }
+}
+
+TEST(CkptKVCodec, WindowCacheWritesOnlyItsVisibleRows) {
+  util::Xoshiro256 rng(12);
+  runtime::MemoryPool pool("h", 1 << 20);
+  runtime::KVBlockPool blocks(blocks_of(16, 16), &pool);
+  runtime::KVCache cache(blocks, /*window=*/5);
+  for (int i = 0; i < 11; ++i) {
+    cache.append(tensor::Tensor::uniform({16}, rng),
+                 tensor::Tensor::uniform({16}, rng));
+  }
+  ckpt::ByteWriter writer;
+  runtime::encode_kv_cache(writer, cache);
+  ckpt::ByteReader reader(writer.buffer());
+  runtime::KVCache restored(blocks, 5);
+  runtime::decode_kv_cache(reader, restored);
+  EXPECT_TRUE(reader.exhausted());
+  EXPECT_EQ(restored.appended(), 5);
+  expect_same_contents(restored, cache);
 }
 
 TEST(CkptKVCodec, EmptyDenseCacheRoundTrips) {
   runtime::MemoryPool pool("h", 1 << 20);
-  runtime::KVCache cache(16, 16, 16, pool);
+  runtime::KVBlockPool blocks(blocks_of(16, 16), &pool);
+  runtime::KVCache cache(blocks);
   ckpt::ByteWriter writer;
   runtime::encode_kv_cache(writer, cache);
   ckpt::ByteReader reader(writer.buffer());
-  const auto restored = runtime::decode_kv_cache(reader, context_for(pool));
-  EXPECT_EQ(restored->length(), 0);
+  runtime::KVCache restored(blocks);
+  runtime::decode_kv_cache(reader, restored);
+  EXPECT_EQ(restored.length(), 0);
+}
+
+TEST(CkptKVCodec, RecordOfAnotherGeometryIsCorrupt) {
+  runtime::MemoryPool pool("h", 1 << 20);
+  runtime::KVBlockPool f32_blocks(blocks_of(16, 16), &pool);
+  runtime::KVBlockPool kv4_blocks(blocks_of(16, 4), &pool);
+  runtime::KVCache cache(f32_blocks);
+  cache.append(tensor::Tensor::zeros({16}), tensor::Tensor::zeros({16}));
+  ckpt::ByteWriter writer;
+  runtime::encode_kv_cache(writer, cache);
+  ckpt::ByteReader reader(writer.buffer());
+  runtime::KVCache restored(kv4_blocks);
+  EXPECT_THROW(runtime::decode_kv_cache(reader, restored), CheckpointCorrupt);
 }
 
 TEST(CkptKVCodec, UnknownFlavorTagIsCorrupt) {
   runtime::MemoryPool pool("h", 1 << 20);
+  runtime::KVBlockPool blocks(blocks_of(16, 16), &pool);
+  runtime::KVCache cache(blocks);
   ckpt::ByteWriter writer;
   writer.u8(77);  // no such flavor
   ckpt::ByteReader reader(writer.buffer());
-  EXPECT_THROW(runtime::decode_kv_cache(reader, context_for(pool)),
-               CheckpointCorrupt);
+  EXPECT_THROW(runtime::decode_kv_cache(reader, cache), CheckpointCorrupt);
 }
 
 // --------------------------------------------- generator kill-resume --
@@ -410,8 +451,17 @@ TEST(GeneratorCkpt, KillResumeIsDeterministicDenseQuantizedKV) {
   expect_kill_resume_deterministic(config);
 }
 
-TEST(GeneratorCkpt, KillResumeIsDeterministicPaged) {
-  expect_kill_resume_deterministic(tiny_config(runtime::KVFlavor::kPaged));
+TEST(GeneratorCkpt, KillResumeIsDeterministicSmallBlocks) {
+  auto config = tiny_config(runtime::KVFlavor::kDense);
+  config.kv_block_tokens = 4;
+  expect_kill_resume_deterministic(config);
+}
+
+TEST(GeneratorCkpt, KillResumeIsDeterministicQuantizedWindow) {
+  auto config = tiny_config(runtime::KVFlavor::kWindow);
+  config.kv_bits = 8;
+  config.kv_block_tokens = 4;
+  expect_kill_resume_deterministic(config);
 }
 
 TEST(GeneratorCkpt, KillResumeIsDeterministicWindow) {
@@ -440,9 +490,10 @@ void expect_fixture_resumes(
 }
 
 TEST(GeneratorCkpt, PagedFixtureFromEarlierBuildResumes) {
-  // Written mid-decode of kPrompts with 4-token pages, when the page size
+  // Written mid-decode of kPrompts by the former paged flavor (fingerprint
+  // flavor byte 1, read as kDense) with 4-token pages, when the page size
   // was a field of its own.
-  auto config = fixture_config(runtime::KVFlavor::kPaged);
+  auto config = fixture_config(runtime::KVFlavor::kDense);
   config.kv_block_tokens = 4;
   expect_fixture_resumes(config, "paged_kv_v3.ckpt",
                          {{4, 35, 10, 10, 19, 19, 13, 13, 14, 62},
@@ -545,7 +596,7 @@ TEST(GeneratorCkpt, ConfigDriftIsMismatch) {
        std::vector<void (*)(runtime::RuntimeConfig&)>{
            [](runtime::RuntimeConfig& c) { c.weight_bits = 4; },
            [](runtime::RuntimeConfig& c) {
-             c.kv_flavor = runtime::KVFlavor::kPaged;
+             c.kv_flavor = runtime::KVFlavor::kWindow;
            },
            [](runtime::RuntimeConfig& c) { c.host_capacity /= 2; },
            [](runtime::RuntimeConfig& c) { c.sampling.temperature = 0.0; },
@@ -604,8 +655,8 @@ TEST(GeneratorCkpt, ReadCheckpointMetaProbesWithoutPools) {
 }
 
 TEST(GeneratorCkpt, RuntimeConfigCodecRoundTrips) {
-  auto config = tiny_config(runtime::KVFlavor::kPaged);
-  config.kv_bits = 16;
+  auto config = tiny_config(runtime::KVFlavor::kWindow);
+  config.kv_bits = 4;
   config.compute_threads = 3;
   config.recovery.max_transfer_attempts = 7;
   ckpt::ByteWriter writer;

@@ -316,7 +316,8 @@ TEST(KVIntegrity, FlippedRowThrowsUnderAlwaysAndPropagatesUnderOff) {
   integrity::ChecksumRegistry registry(config, &metrics);
 
   runtime::MemoryPool pool("host", 1 << 24);
-  runtime::KVCache cache(8, 16, 32, pool);
+  runtime::KVBlockPool blocks({.block_tokens = 4, .hidden = 8}, &pool);
+  runtime::KVCache cache(blocks);
   cache.set_integrity(&registry, "kv.test");
   for (int i = 0; i < 4; ++i) {
     cache.append(ramp_tensor(1, 8).reshaped({8}),
@@ -340,7 +341,7 @@ TEST(KVIntegrity, FlippedRowThrowsUnderAlwaysAndPropagatesUnderOff) {
             0);
 
   // Same flips with no registry attached: silent corruption, no throw.
-  runtime::KVCache unverified(8, 16, 32, pool);
+  runtime::KVCache unverified(blocks);
   for (int i = 0; i < 4; ++i) {
     unverified.append(ramp_tensor(1, 8).reshaped({8}),
                       ramp_tensor(1, 8).reshaped({8}));

@@ -19,8 +19,6 @@
 #include "lmo/kvshare/radix_tree.hpp"
 #include "lmo/runtime/generator.hpp"
 #include "lmo/runtime/kv_cache.hpp"
-#include "lmo/runtime/paged_kv.hpp"
-#include "lmo/runtime/window_kv.hpp"
 #include "lmo/serve/server_sim.hpp"
 #include "lmo/serve/workload_gen.hpp"
 #include "lmo/tensor/tensor.hpp"
@@ -136,9 +134,9 @@ runtime::KVBlockPoolConfig small_blocks(std::int64_t hidden = 2) {
 }
 
 /// A one-layer paged cache whose row t holds t in K and -t in V.
-std::unique_ptr<runtime::PagedKVCache> position_rows(
+std::unique_ptr<runtime::KVCache> position_rows(
     runtime::KVBlockPool& blocks, std::int64_t tokens) {
-  auto rows = std::make_unique<runtime::PagedKVCache>(blocks);
+  auto rows = std::make_unique<runtime::KVCache>(blocks);
   for (std::int64_t t = 0; t < tokens; ++t) {
     rows->append(Tensor::full({blocks.hidden()}, static_cast<float>(t)),
                  Tensor::full({blocks.hidden()}, -static_cast<float>(t)));
@@ -296,22 +294,30 @@ TEST(PrefixCache, PressureReliefReportsOnlyBytesActuallyFreed) {
   ASSERT_EQ(pool.used(), 3 * 64u);
   // A sequence needing two more blocks: the first fits, the second makes
   // the pool ask the cache for relief. Evicting a block the live sequence
-  // still reads frees nothing, so the LRU walk goes on (through the whole
-  // older chain) until it reaches a block that does.
-  runtime::PagedKVCache next(blocks);
+  // still reads would free nothing, so relief passes over the older chain
+  // and evicts exactly the one node whose block comes free.
+  runtime::KVCache next(blocks);
   util::Xoshiro256 rng(4);
   for (int t = 0; t < 8; ++t) {
     next.append(Tensor::uniform({2}, rng), Tensor::uniform({2}, rng));
   }
   EXPECT_EQ(next.block_table().size(), 2u);
   EXPECT_EQ(pool.used(), 4 * 64u);
-  EXPECT_EQ(cache.node_count(), 0u);
-  EXPECT_EQ(blocks.refcount(live->block_table()[0]), 1);  // still readable
+  EXPECT_EQ(cache.node_count(), 2u);
+  EXPECT_EQ(blocks.refcount(live->block_table()[0]), 2);  // still cached
+  EXPECT_EQ(blocks.refcount(live->block_table()[1]), 2);
+  EXPECT_EQ(cache.match(seq(12))->matched_tokens(), 8);
+  EXPECT_EQ(cache.match(seq(8, 500)), nullptr);  // the evicted node
+  // Explicit eviction keeps plain LRU order: the older chain's leaf goes
+  // first even though that frees nothing.
+  EXPECT_EQ(cache.evict(1), 1u);
+  EXPECT_EQ(cache.match(seq(12))->matched_tokens(), 4);
+  EXPECT_EQ(pool.used(), 4 * 64u);
 }
 
-// -- paged caches over a lease (copy-on-write) ------------------------------
+// -- caches over a lease (copy-on-write) ------------------------------------
 
-TEST(PagedKVCacheOverLease, CowTruncateNeverTouchesSharedBlocks) {
+TEST(KVCacheOverLease, CowTruncateNeverTouchesSharedBlocks) {
   MemoryPool pool("host", 1 << 20);
   runtime::KVBlockPool blocks(small_blocks(), &pool);
   PrefixCache cache(blocks, 1, nullptr);
@@ -320,13 +326,13 @@ TEST(PagedKVCacheOverLease, CowTruncateNeverTouchesSharedBlocks) {
   ASSERT_NE(lease, nullptr);
   const float* shared_block = blocks.data(lease->block(1, 0));
 
-  runtime::PagedKVCache a(*lease, 0);
+  runtime::KVCache a(*lease, 0);
   a.append(Tensor::full({2}, 100.0f), Tensor::full({2}, -100.0f));
   a.append(Tensor::full({2}, 101.0f), Tensor::full({2}, -101.0f));
   ASSERT_EQ(a.length(), 10);
 
   // Fork, then truncate the original into the shared region.
-  auto fork = a.clone();
+  auto fork = std::make_unique<runtime::KVCache>(a.clone());
   a.truncate(6);
   EXPECT_EQ(a.length(), 6);
   EXPECT_EQ(a.block_table().size(), 2u);  // the shared blocks, no copy yet
@@ -352,7 +358,7 @@ TEST(PagedKVCacheOverLease, CowTruncateNeverTouchesSharedBlocks) {
   EXPECT_FLOAT_EQ(shared_block[2 * 2], 6.0f);  // token 6, slot 2
 }
 
-TEST(PagedKVCacheOverLease, TruncateToZeroDropsEveryPrivateByte) {
+TEST(KVCacheOverLease, TruncateToZeroDropsEveryPrivateByte) {
   MemoryPool pool("host", 1 << 20);
   runtime::KVBlockPool blocks(small_blocks(), &pool);
   PrefixCache cache(blocks, 1, nullptr);
@@ -362,7 +368,7 @@ TEST(PagedKVCacheOverLease, TruncateToZeroDropsEveryPrivateByte) {
   auto lease = cache.match(seq(12));
   ASSERT_NE(lease, nullptr);
   {
-    runtime::PagedKVCache a(*lease, 0);
+    runtime::KVCache a(*lease, 0);
     lease.reset();  // the cache's blocks outlive the pin they came from
     EXPECT_EQ(pool.used(), cached_bytes);  // starting from a lease is free
     a.append(Tensor::full({2}, 1.0f), Tensor::full({2}, 2.0f));
@@ -382,23 +388,25 @@ TEST(PagedKVCacheOverLease, TruncateToZeroDropsEveryPrivateByte) {
 TEST(KVPoolAccounting, CloneDestroyAndTruncateToZeroReturnToBaseline) {
   util::Xoshiro256 rng(11);
   const std::int64_t hidden = 8;
-  for (const char* flavor : {"dense", "paged", "window", "shared"}) {
+  for (const char* flavor : {"dense", "kv4", "window", "shared"}) {
     SCOPED_TRACE(flavor);
     MemoryPool pool("host", 1 << 20);
     runtime::KVBlockPool blocks(small_blocks(hidden), &pool);
+    runtime::KVBlockPool kv4_blocks(
+        {.block_tokens = 4, .hidden = hidden, .bits = 4, .group_size = 4},
+        &pool);
     std::unique_ptr<PrefixCache> prefix;
-    std::unique_ptr<runtime::KVCacheBase> cache;
+    std::unique_ptr<runtime::KVCache> cache;
     if (std::string(flavor) == "dense") {
-      cache = std::make_unique<runtime::KVCache>(hidden, 16, 8, pool);
-    } else if (std::string(flavor) == "paged") {
-      cache = std::make_unique<runtime::PagedKVCache>(blocks);
+      cache = std::make_unique<runtime::KVCache>(blocks);
+    } else if (std::string(flavor) == "kv4") {
+      cache = std::make_unique<runtime::KVCache>(kv4_blocks);
     } else if (std::string(flavor) == "window") {
-      cache = std::make_unique<runtime::WindowKVCache>(hidden, 32, pool);
+      cache = std::make_unique<runtime::KVCache>(blocks, 32);
     } else {
       prefix = std::make_unique<PrefixCache>(blocks, 1, nullptr);
       publish(*prefix, blocks, seq(8));
-      cache = std::make_unique<runtime::PagedKVCache>(*prefix->match(seq(12)),
-                                                      0);
+      cache = std::make_unique<runtime::KVCache>(*prefix->match(seq(12)), 0);
     }
     const auto empty_bytes = pool.used();
 
@@ -415,9 +423,8 @@ TEST(KVPoolAccounting, CloneDestroyAndTruncateToZeroReturnToBaseline) {
     }
     EXPECT_EQ(pool.used(), filled_bytes);
 
-    // truncate-to-zero returns every variable byte (the window ring is a
-    // fixed construction-time charge by design, and the prefix cache's
-    // blocks are the cache's, both included in empty_bytes).
+    // truncate-to-zero returns every variable byte (the prefix cache's
+    // blocks are the cache's, included in empty_bytes).
     cache->truncate(0);
     EXPECT_EQ(pool.used(), empty_bytes);
 
@@ -539,14 +546,15 @@ TEST(GeneratorPrefixShare, TokensAreByteIdenticalToSharingOff) {
   const auto batch_b = shared_prompts(16, 7);
 
   auto config = tiny_share_config();
-  runtime::Generator off(config);
-  const auto off_a = off.generate(batch_a, 8).tokens;
-  const auto off_b = off.generate(batch_b, 8).tokens;
-
-  for (const auto flavor : {runtime::KVFlavor::kDense,
-                            runtime::KVFlavor::kPaged}) {
-    SCOPED_TRACE(runtime::to_string(flavor));
-    config.kv_flavor = flavor;
+  // Shared blocks hold the rows at the session's bit width, so reuse is
+  // bit-exact for quantized KV too.
+  for (const int bits : {16, 8, 4}) {
+    SCOPED_TRACE("kv" + std::to_string(bits));
+    config.kv_bits = bits;
+    config.prefix_share = false;
+    runtime::Generator off(config);
+    const auto off_a = off.generate(batch_a, 8).tokens;
+    const auto off_b = off.generate(batch_b, 8).tokens;
     config.prefix_share = true;
     config.kv_block_tokens = 4;
     runtime::Generator on(config);
@@ -563,14 +571,15 @@ TEST(GeneratorPrefixShare, TokensAreByteIdenticalToSharingOff) {
   }
 }
 
-TEST(GeneratorPrefixShare, RequiresF32BlockTables) {
+TEST(GeneratorPrefixShare, RejectsAWindowCache) {
   auto config = tiny_share_config();
   config.prefix_share = true;
   config.kv_flavor = runtime::KVFlavor::kWindow;
   EXPECT_THROW(runtime::Generator{config}, util::CheckError);
-  config.kv_flavor = runtime::KVFlavor::kDense;
   config.kv_bits = 4;
   EXPECT_THROW(runtime::Generator{config}, util::CheckError);
+  config.kv_flavor = runtime::KVFlavor::kDense;
+  EXPECT_NO_THROW(runtime::Generator{config});
 }
 
 TEST(GeneratorPrefixShare, PoolBytesReturnToBaselineAfterEverySession) {
@@ -783,7 +792,7 @@ TEST(PrefixCacheIntegrity, RepublishedBlocksKeepTheirOwnFingerprint) {
   publish(cache, blocks, seq(8));
   auto lease = cache.match(seq(12));
   ASSERT_NE(lease, nullptr);
-  runtime::PagedKVCache reader(*lease, 0);  // shares the chain's blocks
+  runtime::KVCache reader(*lease, 0);  // shares the chain's blocks
   {
     util::ScopedFaultInjection chaos(1);
     chaos.arm("integrity.kvshare.flip", rot_on_next_match());

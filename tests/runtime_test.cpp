@@ -150,7 +150,8 @@ TEST(OffloadManager, DuplicateAndUnknownNamesThrow) {
 
 TEST(KVCache, AppendAndMaterializeFp32) {
   MemoryPool pool("h", 1 << 20);
-  KVCache cache(8, 16, 8, pool);
+  KVBlockPool blocks({.block_tokens = 4, .hidden = 8}, &pool);
+  KVCache cache(blocks);
   util::Xoshiro256 rng(6);
   const Tensor k = Tensor::uniform({8}, rng);
   const Tensor v = Tensor::uniform({8}, rng);
@@ -166,8 +167,12 @@ TEST(KVCache, AppendAndMaterializeFp32) {
 TEST(KVCache, QuantizedStorageShrinksAndStaysClose) {
   MemoryPool pool_plain("p", 1 << 20);
   MemoryPool pool_quant("q", 1 << 20);
-  KVCache plain(64, 16, 32, pool_plain);
-  KVCache quant(64, 4, 32, pool_quant);
+  KVBlockPool plain_blocks({.block_tokens = 4, .hidden = 64}, &pool_plain);
+  KVBlockPool quant_blocks(
+      {.block_tokens = 4, .hidden = 64, .bits = 4, .group_size = 32},
+      &pool_quant);
+  KVCache plain(plain_blocks);
+  KVCache quant(quant_blocks);
   util::Xoshiro256 rng(7);
   for (int i = 0; i < 10; ++i) {
     const Tensor k = Tensor::uniform({64}, rng);
@@ -175,7 +180,8 @@ TEST(KVCache, QuantizedStorageShrinksAndStaysClose) {
     plain.append(k, v);
     quant.append(k, v);
   }
-  EXPECT_LT(quant.stored_bytes(), plain.stored_bytes() / 4);
+  EXPECT_LT(quant.private_bytes(), plain.private_bytes() / 4);
+  EXPECT_LT(pool_quant.used(), pool_plain.used() / 4);
   EXPECT_LE(plain.keys().max_abs_diff(quant.keys()), 0.08f);
   EXPECT_GT(quant.quantize_seconds(), 0.0);
   (void)quant.values();
@@ -184,8 +190,9 @@ TEST(KVCache, QuantizedStorageShrinksAndStaysClose) {
 
 TEST(KVCache, ReleasesPoolOnDestruction) {
   MemoryPool pool("h", 1 << 20);
+  KVBlockPool blocks({.block_tokens = 4, .hidden = 8}, &pool);
   {
-    KVCache cache(8, 16, 8, pool);
+    KVCache cache(blocks);
     util::Xoshiro256 rng(8);
     cache.append(Tensor::uniform({8}, rng), Tensor::uniform({8}, rng));
     EXPECT_GT(pool.used(), 0u);
@@ -195,7 +202,8 @@ TEST(KVCache, ReleasesPoolOnDestruction) {
 
 TEST(KVCache, RejectsWrongRowShape) {
   MemoryPool pool("h", 1 << 20);
-  KVCache cache(8, 16, 8, pool);
+  KVBlockPool blocks({.block_tokens = 4, .hidden = 8}, &pool);
+  KVCache cache(blocks);
   EXPECT_THROW(cache.append(Tensor::zeros({4}), Tensor::zeros({4})),
                CheckError);
 }

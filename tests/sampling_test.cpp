@@ -45,7 +45,7 @@ TEST(Activation, ChangingActivationChangesLogits) {
   const std::vector<std::int64_t> prompt = {3, 1, 4, 1, 5, 9, 2, 6};
 
   auto logits_of = [&](Generator& g) {
-    auto cache = g.transformer().make_cache(16, 16, g.host_pool());
+    auto cache = g.transformer().make_cache(g.kv_blocks());
     std::vector<Tensor> states = {g.transformer().embed(prompt)};
     std::vector<SequenceCache*> caches = {&cache};
     g.transformer().forward(states, caches);

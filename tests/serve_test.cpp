@@ -595,6 +595,31 @@ TEST(ServeSim, PreemptionSwapsButCompletesEveryRequest) {
   EXPECT_EQ(outcome_preemptions, metrics.preemptions);
 }
 
+TEST(ServeSim, DeadlineRetriesKeepTheirPreemptions) {
+  // A deadline retry re-enters the queue as a new attempt; the swap-outs
+  // of its earlier attempts stay on the request's outcome, so the outcomes
+  // sum to the engine-wide count.
+  const auto spec = model::ModelSpec::opt_13b();
+  const auto requests = generate_requests(quick_profile(4.0), 120, 11);
+  ServeConfig config;
+  config.max_batch = 6;
+  config.preempt = true;
+  config.preempt_wait_seconds = 0.3;
+  config.deadline_seconds = 15.0;
+  config.max_retries = 2;
+  const auto metrics = simulate_serving(
+      spec, serving_policy(), hw::Platform::a100_single(), requests, config);
+  EXPECT_GT(metrics.preemptions, 0u);
+  std::size_t retried = 0;
+  std::uint64_t outcome_preemptions = 0;
+  for (const auto& outcome : metrics.outcomes) {
+    if (outcome.attempts > 1) ++retried;
+    outcome_preemptions += static_cast<std::uint64_t>(outcome.preemptions);
+  }
+  EXPECT_GT(retried, 0u);  // the load actually triggered retries
+  EXPECT_EQ(outcome_preemptions, metrics.preemptions);
+}
+
 TEST(ServeSim, PreemptionIsDeterministicAndOffWhenDisabled) {
   const auto spec = model::ModelSpec::opt_13b();
   const auto requests = generate_requests(quick_profile(20.0), 30, 11);

@@ -1,7 +1,7 @@
 // Tests for speculative decoding and KV-cache truncation (its substrate).
 #include <gtest/gtest.h>
 
-#include "lmo/runtime/paged_kv.hpp"
+#include "lmo/runtime/kv_cache.hpp"
 #include "lmo/tensor/ops.hpp"
 #include "lmo/runtime/speculative.hpp"
 #include "lmo/util/check.hpp"
@@ -14,19 +14,20 @@ using util::CheckError;
 
 // ------------------------------------------------------------- truncate --
 
-TEST(Truncate, ContiguousCacheRollsBackAndRefundsPool) {
-  MemoryPool pool("h", 1 << 20);
-  KVCache cache(8, 16, 8, pool);
+TEST(Truncate, RollsBackRowsAndRefundsWholeBlocks) {
+  MemoryPool mem("h", 1 << 20);
+  KVBlockPool pool({.block_tokens = 4, .hidden = 8}, &mem);
+  KVCache cache(pool);
   util::Xoshiro256 rng(1);
   std::vector<Tensor> ks;
   for (int i = 0; i < 6; ++i) {
     ks.push_back(Tensor::uniform({8}, rng));
     cache.append(ks.back(), ks.back());
   }
-  const auto used_at_6 = pool.used();
+  const auto used_at_6 = mem.used();  // two 4-token blocks
   cache.truncate(3);
   EXPECT_EQ(cache.length(), 3);
-  EXPECT_EQ(pool.used(), used_at_6 / 2);
+  EXPECT_EQ(mem.used(), used_at_6 / 2);
   // Remaining rows intact.
   EXPECT_EQ(cache.keys().max_abs_diff(
                 tensor::concat_rows(
@@ -40,10 +41,10 @@ TEST(Truncate, ContiguousCacheRollsBackAndRefundsPool) {
   EXPECT_THROW(cache.truncate(5), CheckError);
 }
 
-TEST(Truncate, PagedCacheFreesWholeBlocks) {
+TEST(Truncate, FreesWholeBlocks) {
   MemoryPool mem("p", 1 << 20);
   KVBlockPool pool({.block_tokens = 4, .hidden = 8}, &mem);
-  PagedKVCache cache(pool);
+  KVCache cache(pool);
   util::Xoshiro256 rng(2);
   for (int i = 0; i < 10; ++i) {
     cache.append(Tensor::uniform({8}, rng), Tensor::uniform({8}, rng));
