@@ -250,10 +250,13 @@ Generator::~Generator() {
 SequenceCache Generator::make_sequence_cache() {
   const std::int64_t window =
       config_.kv_flavor == KVFlavor::kWindow ? config_.window_tokens : 0;
-  // A prefix-sharing session may publish its blocks; the prefix cache
-  // fingerprints those itself, so its rows carry no per-row checks.
-  const RowChecks checks =
-      config_.prefix_share ? RowChecks::kOff : RowChecks::kOn;
+  // A prefix-sharing session may publish its blocks, which the prefix
+  // cache fingerprints itself. A window cache's rows cannot be repaired:
+  // re-prefilling the history under a window is not the incremental
+  // decode that built them. Neither carries per-row checks.
+  const RowChecks checks = config_.prefix_share || window > 0
+                               ? RowChecks::kOff
+                               : RowChecks::kOn;
   SequenceCache cache;
   cache.reserve(static_cast<std::size_t>(config_.spec.num_layers));
   for (std::int64_t layer = 0; layer < config_.spec.num_layers; ++layer) {

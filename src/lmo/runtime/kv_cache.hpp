@@ -149,8 +149,10 @@ class KVBlockPool {
 };
 
 /// Whether a cache draws integrity.kv.flip faults on its reads and keeps
-/// per-row fingerprints. Caches whose blocks the prefix cache may publish
-/// do neither: the prefix cache fingerprints whole blocks itself.
+/// per-row fingerprints (once set_integrity attaches a registry). The
+/// Generator turns them off where a detected corruption could not be
+/// repaired row for row: blocks the prefix cache may publish (it
+/// fingerprints whole blocks itself) and window caches.
 enum class RowChecks : std::uint8_t { kOn, kOff };
 
 /// One sequence's KV cache for one layer: a block table plus the number of
@@ -185,8 +187,6 @@ class KVCache {
   std::int64_t appended() const { return appended_; }
   std::int64_t hidden() const { return pool_->hidden(); }
   int bits() const { return pool_->bits(); }
-  /// Window size in tokens; 0 for full attention.
-  std::int64_t window() const { return window_; }
   KVBlockPool& pool() const { return *pool_; }
 
   /// Point `view.rows` at `plane`'s length() rows, oldest first. f32 rows

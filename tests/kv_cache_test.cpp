@@ -218,7 +218,7 @@ TEST(KVCache, CloneSharesBlocksAndCopiesOnWrite) {
   // Full tail block (8), partial tail (7, 9): every case forks with no
   // allocation and pays exactly one block on the fork's first write, for
   // f32 and quantized rows alike.
-  for (const auto [tokens, bits] :
+  for (const auto& [tokens, bits] :
        {std::pair{7, 16}, std::pair{8, 16}, std::pair{9, 16},
         std::pair{7, 4}, std::pair{8, 8}}) {
     SCOPED_TRACE(std::to_string(tokens) + " tokens, kv" +
