@@ -159,11 +159,13 @@ void decode_window(ckpt::ByteReader& reader, KVCache& cache) {
   const std::int64_t visible = reader.i64();
   const std::vector<float> k_ring = reader.f32_array();
   const std::vector<float> v_ring = reader.f32_array();
-  const std::size_t ring = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, window * hidden));
+  const auto slots = [&](const std::vector<float>& ring) {
+    return static_cast<std::int64_t>(ring.size()) / hidden;
+  };
   if (hidden != cache.hidden() || window <= 0 || visible < 0 ||
-      visible > std::min(appended, window) || k_ring.size() != ring ||
-      v_ring.size() != ring) {
+      visible > std::min(appended, window) ||
+      k_ring.size() != v_ring.size() || slots(k_ring) != window ||
+      k_ring.size() % static_cast<std::size_t>(hidden) != 0) {
     throw util::CheckpointCorrupt("window KV checkpoint is inconsistent");
   }
   std::vector<float> k, v;
