@@ -375,7 +375,7 @@ void encode_kv_cache(ckpt::ByteWriter& writer, const KVCache& cache) {
 }
 
 void decode_kv_cache(ckpt::ByteReader& reader, KVCache& cache) {
-  LMO_CHECK_MSG(cache.appended() == 0, "KV restore needs an empty cache");
+  LMO_CHECK_MSG(cache.length() == 0, "KV restore needs an empty cache");
   const std::uint8_t tag = reader.u8();
   switch (tag) {
     case kDenseTag:
@@ -499,8 +499,21 @@ void Generator::resume(const std::string& path) {
       decode_fault_states(reader);
 
   for (std::uint64_t s = 0; s < num_sequences; ++s) {
+    // The caches hold the prompt and every produced token but the pending
+    // `next`.
+    const auto appended = static_cast<std::int64_t>(
+        session->prompts[s].size() + session->tokens[s].size() - 1);
     SequenceCache cache = make_sequence_cache();
-    for (KVCache& layer : cache) decode_kv_cache(reader, layer);
+    for (KVCache& layer : cache) {
+      layer.resume_at(appended);
+      decode_kv_cache(reader, layer);
+      if (layer.appended() != appended) {
+        throw util::CheckpointCorrupt(
+            path + ": sequence " + std::to_string(s) + " KV record holds " +
+            std::to_string(layer.length()) + " rows after " +
+            std::to_string(appended) + " tokens");
+      }
+    }
     session->caches.push_back(std::move(cache));
   }
   if (!reader.exhausted()) {

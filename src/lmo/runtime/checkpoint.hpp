@@ -43,8 +43,9 @@ bool runtime_config_equal(const RuntimeConfig& a, const RuntimeConfig& b);
 /// size comes from the config fingerprint, not the record.
 void encode_kv_cache(ckpt::ByteWriter& writer, const KVCache& cache);
 /// Restore one record into `cache` (empty, built for the fingerprinted
-/// config) by appending its rows into blocks. Besides that record, reads
-/// the paged, prefix-shared and window-ring records earlier builds wrote.
+/// config, its block phase set by KVCache::resume_at) by appending its
+/// rows into blocks. Besides that record, reads the paged, prefix-shared
+/// and window-ring records earlier builds wrote.
 void decode_kv_cache(ckpt::ByteReader& reader, KVCache& cache);
 
 /// Cheap header+fingerprint probe of a checkpoint file: validates the

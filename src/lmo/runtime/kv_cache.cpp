@@ -233,7 +233,7 @@ const std::byte* KVCache::payload_of(const std::byte* row) const {
 std::byte* KVCache::writable_slot() {
   const std::int64_t bt = pool_->block_tokens();
   const std::int64_t slot = appended_ % bt;
-  if (slot == 0) {
+  if (blocks_.size() == static_cast<std::size_t>(appended_ / bt)) {
     const std::int64_t id = pool_->allocate();
     blocks_.push_back(id);
     data_.push_back(reinterpret_cast<std::byte*>(pool_->data(id)));
@@ -320,6 +320,20 @@ std::span<const std::byte> KVCache::stored_row(KVPlane plane,
   return {row_ptr(first_ + index, plane), pool_->row_bytes()};
 }
 
+void KVCache::resume_at(std::int64_t appended) {
+  LMO_CHECK_MSG(appended_ == 0, "resume_at needs an empty cache");
+  LMO_CHECK_GE(appended, 0);
+  if (window_ == 0) return;
+  LMO_CHECK_MSG(integrity_ == nullptr,
+                "a window cache keeps no fingerprints of the rows it skips");
+  const std::int64_t skipped = std::max<std::int64_t>(0, appended - window_);
+  const auto dropped =
+      static_cast<std::size_t>(skipped / pool_->block_tokens());
+  blocks_.assign(dropped, -1);
+  data_.assign(dropped, nullptr);
+  first_ = appended_ = skipped;
+}
+
 void KVCache::set_integrity(integrity::ChecksumRegistry* registry,
                             std::string region) {
   LMO_CHECK_MSG(appended_ == 0,
@@ -356,72 +370,68 @@ void KVCache::read_rows(KVPlane plane, KVRowView& view) const {
   const std::size_t payload_bytes = pool_->row_payload_bytes();
   const std::size_t n = static_cast<std::size_t>(length());
   view.rows.resize(n);
-  if (!quantized && !inject && !check) {
-    // f32 rows in place, walked block by block.
-    const std::int64_t bt = pool_->block_tokens();
-    std::size_t i = 0;
-    for (std::int64_t t = first_; t < appended_;) {
-      const std::byte* row = row_ptr(t, plane);
-      for (const std::int64_t end = std::min(appended_, (t / bt + 1) * bt);
-           t < end; ++t, row += pool_->row_bytes()) {
-        view.rows[i++] = reinterpret_cast<const float*>(row);
-      }
-    }
-    return;
-  }
   // Row i decodes into scratch slot i, so earlier pointers stay valid.
   if (quantized || inject) {
     view.scratch.resize(n * static_cast<std::size_t>(hidden));
   }
+  const auto slot = [&](std::size_t i) {
+    return view.scratch.data() + i * static_cast<std::size_t>(hidden);
+  };
+  const std::int64_t bt = pool_->block_tokens();
+  const std::size_t row_bytes = pool_->row_bytes();
   std::vector<std::byte> wire;
-  for (std::int64_t t = first_; t < appended_; ++t) {
-    const std::size_t i = static_cast<std::size_t>(t - first_);
-    const std::byte* row = row_ptr(t, plane);
-    float* slot = view.scratch.data() + i * static_cast<std::size_t>(hidden);
-    if (inject) {
-      // The read-back crosses the same fragile path the write took; model
-      // bit rot on a wire copy — the stored row, which forks and the
-      // prefix cache may share, stays pristine. The flip domain is the
-      // fingerprinted payload.
-      const std::int64_t flip =
-          injector.corrupt_bit(kKvFlipSite, 8 * payload_bytes);
-      if (flip >= 0) {
-        wire.assign(row, row + pool_->row_bytes());
-        const auto at = static_cast<std::size_t>(payload_of(row) - row) +
-                        static_cast<std::size_t>(flip / 8);
-        wire[at] ^= static_cast<std::byte>(1u << (flip % 8));
-        row = wire.data();
+  std::size_t i = 0;
+  for (std::int64_t t = first_; t < appended_;) {
+    // A block's rows of one plane are contiguous.
+    const std::byte* stored = row_ptr(t, plane);
+    for (const std::int64_t end = std::min(appended_, (t / bt + 1) * bt);
+         t < end; ++t, ++i, stored += row_bytes) {
+      const std::byte* row = stored;
+      if (inject) {
+        // The read-back crosses the same fragile path the write took;
+        // model bit rot on a wire copy — the stored row, which forks and
+        // the prefix cache may share, stays pristine. The flip domain is
+        // the fingerprinted payload.
+        const std::int64_t flip =
+            injector.corrupt_bit(kKvFlipSite, 8 * payload_bytes);
+        if (flip >= 0) {
+          wire.assign(row, row + row_bytes);
+          const auto at = static_cast<std::size_t>(payload_of(row) - row) +
+                          static_cast<std::size_t>(flip / 8);
+          wire[at] ^= static_cast<std::byte>(1u << (flip % 8));
+          row = wire.data();
+        }
       }
-    }
-    const std::byte* payload = payload_of(row);
-    if (check &&
-        integrity_->config().should_verify(static_cast<std::uint64_t>(t)) &&
-        !integrity_->verify_value(std::span(payload, payload_bytes),
-                                  crcs[static_cast<std::size_t>(t)])) {
-      // The stored row itself may be rot (not just the wire copy), so
-      // re-reading cannot repair it; the Generator recomputes the cache
-      // from the token history.
-      throw util::DataCorruption("KV row " + std::to_string(t) + " of " +
-                                 (region_.empty() ? "<unnamed>" : region_) +
-                                 " failed verification");
-    }
-    if (quantized) {
-      const auto start = std::chrono::steady_clock::now();
-      const auto* meta = reinterpret_cast<const float*>(row);
-      const auto g = static_cast<std::size_t>(groups);
-      tensor::dequantize_into(
-          std::span(reinterpret_cast<const std::uint8_t*>(payload),
-                    payload_bytes),
-          std::span(meta, g), std::span(meta + g, g), pool_->bits(),
-          pool_->group_size(),
-          std::span(slot, static_cast<std::size_t>(hidden)));
-      dequantize_seconds_ += seconds_since(start);
-      view.rows[i] = slot;
-    } else if (row == wire.data()) {
-      std::memcpy(slot, row, payload_bytes);
-      view.rows[i] = slot;
-    } else {
-      view.rows[i] = reinterpret_cast<const float*>(row);  // in place
+      const std::byte* payload = payload_of(row);
+      if (check &&
+          integrity_->config().should_verify(static_cast<std::uint64_t>(t)) &&
+          !integrity_->verify_value(std::span(payload, payload_bytes),
+                                    crcs[static_cast<std::size_t>(t)])) {
+        // The stored row itself may be rot (not just the wire copy), so
+        // re-reading cannot repair it; the Generator recomputes the cache
+        // from the token history.
+        throw util::DataCorruption("KV row " + std::to_string(t) + " of " +
+                                   (region_.empty() ? "<unnamed>" : region_) +
+                                   " failed verification");
+      }
+      if (quantized) {
+        const auto start = std::chrono::steady_clock::now();
+        const auto* meta = reinterpret_cast<const float*>(row);
+        const auto g = static_cast<std::size_t>(groups);
+        tensor::dequantize_into(
+            std::span(reinterpret_cast<const std::uint8_t*>(payload),
+                      payload_bytes),
+            std::span(meta, g), std::span(meta + g, g), pool_->bits(),
+            pool_->group_size(),
+            std::span(slot(i), static_cast<std::size_t>(hidden)));
+        dequantize_seconds_ += seconds_since(start);
+        view.rows[i] = slot(i);
+      } else if (row != stored) {
+        std::memcpy(slot(i), row, payload_bytes);  // the flipped wire copy
+        view.rows[i] = slot(i);
+      } else {
+        view.rows[i] = reinterpret_cast<const float*>(row);  // in place
+      }
     }
   }
 }

@@ -198,6 +198,13 @@ class KVCache {
   /// The stored bytes of visible row `index` (0 = oldest visible).
   std::span<const std::byte> stored_row(KVPlane plane,
                                         std::int64_t index) const;
+  /// Prepare an empty cache to take the visible rows of one that had
+  /// `appended` tokens appended (a checkpoint restore). A window cache
+  /// starts at that cache's block phase — the rows that slid out count as
+  /// appended and their blocks as dropped — so it allocates and drops
+  /// blocks on the same appends the original would have; a full-attention
+  /// cache sees every row and is left as it is.
+  void resume_at(std::int64_t appended);
   /// Drop the newest rows so that `new_length` ≤ length() stay visible
   /// (speculative-decoding rejection, beam pruning). Blocks no visible row
   /// uses any more are released; shared blocks are never written.
@@ -232,8 +239,8 @@ class KVCache {
 
  private:
   void release_blocks();
-  /// Make the block for token `appended_` writable: a fresh block at a
-  /// block boundary, a private copy of a shared tail block otherwise.
+  /// Make the block for token `appended_` writable: a fresh block when the
+  /// table has none for it yet, a private copy of a shared tail block.
   std::byte* writable_slot();
   std::byte* row_ptr(std::int64_t token, KVPlane plane) const;
   /// The fingerprinted part of stored row `row` (row_payload_bytes()).

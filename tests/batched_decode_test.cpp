@@ -338,6 +338,21 @@ TEST(KVRowView, IntegrityMatchesTheCopyingRead) {
     }
     const Tensor clean = plain.keys();
 
+    // With no injector armed every row verifies; f32 rows are read in
+    // place, so the scratch is never touched.
+    {
+      KVRowView view;
+      verified.read_rows(KVPlane::kKeys, view);
+      ASSERT_EQ(view.rows.size(), static_cast<std::size_t>(kRows));
+      for (std::int64_t i = 0; i < kRows; ++i) {
+        EXPECT_EQ(std::memcmp(view.rows[static_cast<std::size_t>(i)],
+                              clean.f32().data() + i * 16,
+                              16 * sizeof(float)),
+                  0);
+      }
+      EXPECT_EQ(view.scratch.empty(), bits == 16);
+    }
+
     // Unverified twin: every row is read (one flip-site op each), and the
     // first corrupted row is where verification must stop.
     std::int64_t first_flip = -1;

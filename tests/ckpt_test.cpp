@@ -407,18 +407,36 @@ util::FaultSpec transient_5pct() {
   return spec;
 }
 
+/// Live KV blocks of `gen`'s pool at the current step and after each
+/// later one, then the finished tokens.
+std::pair<std::vector<std::size_t>, std::vector<std::vector<std::int64_t>>>
+finish_counting_blocks(runtime::Generator& gen) {
+  std::vector<std::size_t> blocks;
+  for (;;) {
+    blocks.push_back(gen.kv_blocks().live_blocks());
+    if (gen.done()) break;
+    gen.step();
+  }
+  return {blocks, gen.finish().tokens};
+}
+
 /// The crash-recovery drill the chaos CLI ships: an uninterrupted chaos run
 /// vs a run killed at `kill_at` and resumed by a fresh Generator + fresh
-/// injector. Both must produce the same tokens.
+/// injector. Both must produce the same tokens, and from the kill point on
+/// hold the same KV blocks at every step: a restored window cache starts
+/// at the block phase of the one it was written from.
 void expect_kill_resume_deterministic(const runtime::RuntimeConfig& config) {
   TempFile file("ckpt_test_kill_resume.ckpt");
 
-  std::vector<std::vector<std::int64_t>> reference;
+  std::pair<std::vector<std::size_t>, std::vector<std::vector<std::int64_t>>>
+      reference;
   {
     util::ScopedFaultInjection chaos(2024);
     chaos.arm(kFetchSite, transient_5pct());
     runtime::Generator gen(config);
-    reference = gen.generate(kPrompts, kGenLen).tokens;
+    gen.begin(kPrompts, kGenLen);
+    while (gen.step_index() < kGenLen / 2) gen.step();
+    reference = finish_counting_blocks(gen);
   }
 
   {
@@ -436,8 +454,7 @@ void expect_kill_resume_deterministic(const runtime::RuntimeConfig& config) {
     runtime::Generator gen(config);
     gen.resume(file.path);
     EXPECT_EQ(gen.step_index(), kGenLen / 2);
-    while (!gen.done()) gen.step();
-    EXPECT_EQ(gen.finish().tokens, reference);
+    EXPECT_EQ(finish_counting_blocks(gen), reference);
   }
 }
 
