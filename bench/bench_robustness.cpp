@@ -368,7 +368,7 @@ int main(int argc, char** argv) {
     config.disk_capacity = 4u << 20;
     config.spill_block_bytes = 4096;
     config.prefetch_threads = 0;  // fork safety: the child must be thread-free
-    config.compute_threads = 0;
+    config.compute_threads = 1;
     const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
     const std::int64_t gen_len = 8;
     constexpr int kCkptInterval = 2;

@@ -354,7 +354,7 @@ bool runtime_config_equal(const RuntimeConfig& a, const RuntimeConfig& b) {
          a.recovery.prefetch_wait_seconds ==
              b.recovery.prefetch_wait_seconds &&
          a.recovery.allow_degradation == b.recovery.allow_degradation &&
-         a.compute_threads == b.compute_threads && a.seed == b.seed &&
+         a.seed == b.seed &&
          a.sampling.temperature == b.sampling.temperature &&
          a.sampling.top_k == b.sampling.top_k &&
          a.sampling.top_p == b.sampling.top_p &&

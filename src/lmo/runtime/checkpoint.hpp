@@ -26,15 +26,18 @@
 namespace lmo::runtime {
 
 /// Write / read a complete RuntimeConfig (the checkpoint's config
-/// fingerprint). Every field participates: resuming under a different
-/// pool size or thread count would change the fault/transfer schedule and
-/// silently break determinism, so it is treated as a mismatch.
+/// fingerprint). Every encoded field but compute_threads participates in
+/// runtime_config_equal: resuming under a different pool size or prefetch
+/// thread count would change the fault/transfer schedule and silently
+/// break determinism, so it is treated as a mismatch. The compute lane
+/// count is recorded but free to differ — compute is bit-identical at any
+/// lane count and draws no faults off the calling thread.
 void encode_runtime_config(ckpt::ByteWriter& writer,
                            const RuntimeConfig& config);
 RuntimeConfig decode_runtime_config(ckpt::ByteReader& reader);
 
 /// Field-by-field equality of the fingerprint (the RuntimeConfig subset
-/// that encode_runtime_config captures).
+/// that encode_runtime_config captures), compute_threads excepted.
 bool runtime_config_equal(const RuntimeConfig& a, const RuntimeConfig& b);
 
 /// Serialize one KV cache's visible rows: geometry, every K row, then

@@ -212,9 +212,13 @@ Generator::Generator(const RuntimeConfig& config,
   transformer_ = std::make_unique<Transformer>(config.spec, *manager_,
                                                config.device_layers,
                                                config.seed, config.disk_layers);
-  if (config.compute_threads > 1) {
-    compute_pool_ =
-        std::make_unique<parallel::ThreadPool>(config.compute_threads);
+  const int lanes =
+      config.compute_threads > 0
+          ? config.compute_threads
+          : std::max(1, static_cast<int>(std::thread::hardware_concurrency()) -
+                            1);
+  if (lanes > 1) {
+    compute_pool_ = std::make_unique<parallel::ThreadPool>(lanes - 1);
     transformer_->set_compute_pool(compute_pool_.get());
   }
   KVBlockPoolConfig blocks;
@@ -455,9 +459,11 @@ void Generator::fold_adaptive_window() {
 
   // Apply between steps only: no forward pass is in flight, so the
   // shrink-side drain inside resize() returns immediately and token
-  // numerics are untouched (attention is bit-identical at any pool size).
+  // numerics are untouched (compute is bit-identical at any lane count).
+  // The plan's intra-op degree counts this thread as a lane; the pool
+  // keeps at least one worker.
   if (compute_pool_ != nullptr) {
-    compute_pool_->resize(std::max(1, decision.plan.intra_op_compute));
+    compute_pool_->resize(std::max(1, decision.plan.intra_op_compute - 1));
   }
   if (prefetch_pool_ != nullptr) {
     prefetch_pool_->resize(

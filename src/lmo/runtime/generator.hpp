@@ -82,16 +82,20 @@ struct RuntimeConfig {
   int prefetch_threads = 2;  ///< 0 disables async weight prefetch
   /// Transfer-retry / watchdog / degradation knobs (see OffloadManager).
   RecoveryConfig recovery;
-  /// Intra-op threads for the attention kernel (heads split across a
-  /// pool); 0 = serial. Results are bit-identical either way.
+  /// Compute lanes for a step's GEMM column panels, activation ranges and
+  /// attention heads, the calling thread included: 1 runs everything on
+  /// the calling thread (no pool thread exists), n > 1 adds a pool of
+  /// n − 1 workers, and 0 sizes from the host: hardware_concurrency() − 1
+  /// lanes, at least 1, leaving a core to the prefetch threads. Tokens and
+  /// logits are bit-identical at any lane count.
   int compute_threads = 0;
   std::uint64_t seed = 42;
   SamplingConfig sampling;   ///< greedy by default
   /// Online adaptive parallelism control: at window boundaries the
   /// Generator folds the measured decode-task spans into the Algorithm-3
   /// search and resizes its thread pools to the winning plan. Token
-  /// outputs are unaffected (attention is bit-identical at any pool
-  /// size); only thread allocation changes. Not part of the checkpoint
+  /// outputs are unaffected (compute is bit-identical at any lane
+  /// count); only thread allocation changes. Not part of the checkpoint
   /// fingerprint — resuming with a different controller setting is legal.
   parallel::AdaptiveConfig adaptive;
   /// Offload-path integrity checking: fingerprint host weight shards,

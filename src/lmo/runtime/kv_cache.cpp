@@ -278,31 +278,40 @@ void KVCache::note_appended() {
   data_[b] = nullptr;
 }
 
-void KVCache::append(const tensor::Tensor& k_row,
-                     const tensor::Tensor& v_row) {
-  const std::int64_t hidden = pool_->hidden();
-  LMO_CHECK_EQ(k_row.shape().rank(), 1u);
-  LMO_CHECK_EQ(k_row.shape()[0], hidden);
-  LMO_CHECK(k_row.shape() == v_row.shape());
+void KVCache::append(std::span<const float> k_row,
+                     std::span<const float> v_row) {
+  const auto hidden = static_cast<std::size_t>(pool_->hidden());
+  LMO_CHECK_EQ(k_row.size(), hidden);
+  LMO_CHECK_EQ(v_row.size(), hidden);
   std::byte* k = writable_slot();
   std::byte* v = row_ptr(appended_, KVPlane::kValues);
   if (pool_->bits() == 16) {
     const std::size_t bytes = pool_->row_bytes();
-    std::memcpy(k, k_row.f32().data(), bytes);
-    std::memcpy(v, v_row.f32().data(), bytes);
+    std::memcpy(k, k_row.data(), bytes);
+    std::memcpy(v, v_row.data(), bytes);
   } else {
     const auto start = std::chrono::steady_clock::now();
     const tensor::QuantConfig config{pool_->bits(), pool_->group_size()};
-    for (auto [row, dst] : {std::pair{&k_row, k}, std::pair{&v_row, v}}) {
-      const tensor::QuantizedTensor q = tensor::quantize(*row, config);
-      const std::size_t meta = q.group_min().size() * sizeof(float);
-      std::memcpy(dst, q.group_min().data(), meta);
-      std::memcpy(dst + meta, q.group_scale().data(), meta);
-      std::memcpy(dst + 2 * meta, q.payload().data(), q.payload().size());
+    const auto groups = static_cast<std::size_t>(pool_->row_groups());
+    for (auto [row, dst] : {std::pair{k_row, k}, std::pair{v_row, v}}) {
+      // Mins, then scales, then the codes (see payload_of).
+      auto* meta = reinterpret_cast<float*>(dst);
+      tensor::quantize_into(
+          row, config, std::span(meta, groups),
+          std::span(meta + groups, groups),
+          std::span(reinterpret_cast<std::uint8_t*>(meta + 2 * groups),
+                    pool_->row_payload_bytes()));
     }
     quantize_seconds_ += seconds_since(start);
   }
   note_appended();
+}
+
+void KVCache::append(const tensor::Tensor& k_row,
+                     const tensor::Tensor& v_row) {
+  LMO_CHECK_EQ(k_row.shape().rank(), 1u);
+  LMO_CHECK_EQ(v_row.shape().rank(), 1u);
+  append(k_row.f32(), v_row.f32());
 }
 
 void KVCache::append_stored(std::span<const std::byte> k_row,

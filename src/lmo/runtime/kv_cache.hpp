@@ -173,8 +173,11 @@ class KVCache {
   KVCache(const KVCache&) = delete;
   KVCache& operator=(const KVCache&) = delete;
 
-  /// Append one token's key and value rows (rank-1, extent = hidden),
-  /// quantized at rest when the pool stores quantized rows.
+  /// Append one token's key and value rows (hidden floats each), copied
+  /// into the tail block or, when the pool stores quantized rows, quantized
+  /// straight into it. Allocates only when a block is taken.
+  void append(std::span<const float> k_row, std::span<const float> v_row);
+  /// The same for rank-1 tensors of extent hidden.
   void append(const tensor::Tensor& k_row, const tensor::Tensor& v_row);
   /// Append one token's rows as stored bytes (row_bytes() each), adopted
   /// verbatim: a checkpoint restore never re-quantizes.

@@ -35,7 +35,7 @@ parallel::ProfileDB profile_attention_op(const model::ModelSpec& spec,
     RuntimeConfig config;
     config.spec = spec;
     config.prefetch_threads = 0;
-    config.compute_threads = threads > 1 ? threads : 0;
+    config.compute_threads = threads;
     config.device_layers = spec.num_layers;  // no transfer noise
     config.seed = options.seed;
     Generator generator(config);

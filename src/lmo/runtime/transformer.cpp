@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <future>
 #include <iterator>
+#include <utility>
 
 #include "lmo/telemetry/trace.hpp"
 #include "lmo/tensor/ops.hpp"
@@ -32,6 +32,35 @@ telemetry::ScopedSpan task_span(const char* name) {
 constexpr const char* kLayerWeights[] = {
     "wq", "wk", "wv", "wo", "w1", "w2",
     "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta"};
+
+// Fork-join work floors. Below them, waking the compute lanes costs more
+// than the split saves: a decode step's 8-row GEMMs (6–20 µs) and its
+// single-query attention stay on the calling thread, while prefill's
+// 64-row GEMMs, its causal attention and every GELU/SiLU over a decode
+// group's MLP rows split.
+constexpr std::int64_t kGemmSplitWork = std::int64_t{1} << 20;  // m·k·n
+constexpr std::int64_t kAttentionSplitWork =
+    std::int64_t{1} << 16;  // t_new·visible·hidden
+constexpr std::int64_t kActivationSplitElems = std::int64_t{1} << 12;
+constexpr std::int64_t kPanelCols = 8;  // GEMM column split granularity
+
+// orow[d] += weight * vrow[d] four lanes at a time. Each d is its own
+// multiply and add, exactly as the scalar loop rounds them; the explicit
+// vectors only keep -O2 builds from leaving the loop scalar.
+void add_scaled_row(float* orow, const float* vrow, float weight,
+                    std::int64_t n) {
+  using v4sf = float __attribute__((vector_size(16)));
+  const v4sf w = {weight, weight, weight, weight};
+  std::int64_t d = 0;
+  for (; d + 4 <= n; d += 4) {
+    v4sf o, v;
+    std::memcpy(&o, orow + d, sizeof(o));
+    std::memcpy(&v, vrow + d, sizeof(v));
+    o += w * v;
+    std::memcpy(orow + d, &o, sizeof(o));
+  }
+  for (; d < n; ++d) orow[d] += weight * vrow[d];
+}
 
 }  // namespace
 
@@ -128,9 +157,72 @@ Transformer::LayerWeights Transformer::fetch_layer(std::int64_t layer) {
   return w;
 }
 
+int Transformer::prepare_lanes() {
+  const int lanes = compute_pool_ == nullptr ? 1 : compute_pool_->size() + 1;
+  if (lanes_.size() < static_cast<std::size_t>(lanes)) {
+    lanes_.resize(static_cast<std::size_t>(lanes));
+  }
+  const auto gemm = static_cast<std::size_t>(tensor::matmul_nt_scratch_floats(
+      std::max(spec_.hidden, spec_.mlp_hidden)));
+  for (LaneScratch& lane : lanes_) {
+    if (lane.gemm.size() < gemm) lane.gemm.resize(gemm);
+  }
+  return lanes;
+}
+
+Tensor Transformer::matmul(const Tensor& a, const Tensor& b, int lanes) {
+  const std::int64_t m = a.shape()[0];
+  const std::int64_t k = a.shape()[1];
+  const std::int64_t n = b.shape()[0];
+  if (lanes <= 1 || m * k * n < kGemmSplitWork) {
+    return tensor::matmul_nt_blocked(a, b);
+  }
+  // Contiguous runs of 8-column panels, a few per lane so a lane that
+  // wakes late still finds work.
+  Tensor c = Tensor::zeros({m, n});
+  const std::int64_t panels = (n + kPanelCols - 1) / kPanelCols;
+  const std::int64_t chunks = std::min<std::int64_t>(panels, 2 * lanes);
+  compute_pool_->parallel_for(
+      chunks,
+      [&](std::int64_t chunk, int lane) {
+        const std::int64_t begin = panels * chunk / chunks * kPanelCols;
+        const std::int64_t end =
+            std::min(n, panels * (chunk + 1) / chunks * kPanelCols);
+        tensor::matmul_nt_cols(a, b, c, begin, end,
+                               lanes_[static_cast<std::size_t>(lane)].gemm);
+      },
+      lanes);
+  return c;
+}
+
+void Transformer::activate(Tensor& x, int lanes) {
+  void (*const fn)(std::span<float>) =
+      spec_.activation == model::Activation::kRelu   ? tensor::relu_inplace
+      : spec_.activation == model::Activation::kSilu ? tensor::silu_inplace
+                                                     : tensor::gelu_inplace;
+  const std::span<float> all = x.f32();
+  const auto n = static_cast<std::int64_t>(all.size());
+  if (lanes <= 1 || n < kActivationSplitElems) {
+    fn(all);
+    return;
+  }
+  // One range per lane, on 64-byte boundaries.
+  constexpr std::int64_t kAlign = 16;
+  const std::int64_t per =
+      ((n + lanes - 1) / lanes + kAlign - 1) / kAlign * kAlign;
+  compute_pool_->parallel_for(
+      (n + per - 1) / per,
+      [&](std::int64_t chunk, int) {
+        const std::int64_t begin = chunk * per;
+        fn(all.subspan(static_cast<std::size_t>(begin),
+                       static_cast<std::size_t>(std::min(per, n - begin))));
+      },
+      lanes);
+}
+
 void Transformer::attention(const float* q, std::int64_t t_new,
-                            const KVCache& cache, KVViews& views,
-                            float* out) {
+                            const KVCache& cache, KVViews& views, float* out,
+                            int lanes) {
   const std::int64_t h = spec_.hidden;
   const std::int64_t heads = spec_.num_heads;
   const std::int64_t hd = spec_.head_dim();
@@ -144,68 +236,75 @@ void Transformer::attention(const float* q, std::int64_t t_new,
   const float* const* krows = views.k.rows.data();
   const float* const* vrows = views.v.rows.data();
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  for (LaneScratch& lane : lanes_) {
+    if (lane.scores.size() < static_cast<std::size_t>(total)) {
+      lane.scores.resize(static_cast<std::size_t>(total));
+    }
+  }
 
-  // Per head: scores = q_h · K_hᵀ · scale with causal masking, softmax,
-  // context = scores · V_h. Heads are independent, so they split cleanly
-  // across the intra-op pool (bit-identical to the serial order).
-  const auto head_range = [&](std::int64_t begin, std::int64_t end) {
-    std::vector<float> scores(static_cast<std::size_t>(total));
-    for (std::int64_t head = begin; head < end; ++head) {
-      const std::int64_t off = head * hd;
-      for (std::int64_t i = 0; i < t_new; ++i) {
-        // Causal horizon in the cache's visible rows: everything up to and
-        // including token i's own row (the last t_new rows are the new
-        // tokens). Equivalent to prior+i+1 for exact caches, and correct
-        // under a sliding window, where total < prior + t_new.
-        const std::int64_t visible = total - (t_new - 1 - i);
-        if (visible <= 0) continue;  // fully evicted context (tiny window)
-        const float* qrow = q + i * h + off;
-        float mx = -1e30f;
-        for (std::int64_t j = 0; j < visible; ++j) {
-          const float* krow = krows[j] + off;
-          float dot = 0.0f;
-          for (std::int64_t d = 0; d < hd; ++d) dot += qrow[d] * krow[d];
-          scores[static_cast<std::size_t>(j)] = dot * scale;
-          mx = std::max(mx, dot * scale);
-        }
-        float sum = 0.0f;
-        for (std::int64_t j = 0; j < visible; ++j) {
-          auto& s = scores[static_cast<std::size_t>(j)];
-          s = std::exp(s - mx);
-          sum += s;
-        }
-        const float inv = 1.0f / sum;
-        float* orow = out + i * h + off;
-        for (std::int64_t j = 0; j < visible; ++j) {
-          const float weight = scores[static_cast<std::size_t>(j)] * inv;
-          const float* vrow = vrows[j] + off;
-          for (std::int64_t d = 0; d < hd; ++d) orow[d] += weight * vrow[d];
-        }
+  // Query rows [begin, end) of one head: scores = q_h · K_hᵀ · scale with
+  // causal masking, softmax, context = scores · V_h. Every (head, row) is
+  // independent and writes its own output, so any split across lanes is
+  // bit-identical to the serial order.
+  const auto rows_of_head = [&](std::int64_t head, std::int64_t begin,
+                                std::int64_t end, float* scores) {
+    const std::int64_t off = head * hd;
+    for (std::int64_t i = begin; i < end; ++i) {
+      // Causal horizon in the cache's visible rows: everything up to and
+      // including token i's own row (the last t_new rows are the new
+      // tokens). Equivalent to prior+i+1 for exact caches, and correct
+      // under a sliding window, where total < prior + t_new.
+      const std::int64_t visible = total - (t_new - 1 - i);
+      if (visible <= 0) continue;  // fully evicted context (tiny window)
+      const float* qrow = q + i * h + off;
+      float mx = -1e30f;
+      for (std::int64_t j = 0; j < visible; ++j) {
+        const float* krow = krows[j] + off;
+        float dot = 0.0f;
+        for (std::int64_t d = 0; d < hd; ++d) dot += qrow[d] * krow[d];
+        scores[j] = dot * scale;
+        mx = std::max(mx, dot * scale);
+      }
+      float sum = 0.0f;
+      for (std::int64_t j = 0; j < visible; ++j) {
+        scores[j] = std::exp(scores[j] - mx);
+        sum += scores[j];
+      }
+      const float inv = 1.0f / sum;
+      float* orow = out + i * h + off;
+      for (std::int64_t j = 0; j < visible; ++j) {
+        add_scaled_row(orow, vrows[j] + off, scores[j] * inv, hd);
       }
     }
   };
 
   const auto span = task_span("compute");
-  if (compute_pool_ == nullptr || compute_pool_->size() <= 1 || heads == 1) {
-    head_range(0, heads);
-  } else {
-    const std::int64_t workers =
-        std::min<std::int64_t>(compute_pool_->size(), heads);
-    const std::int64_t chunk = (heads + workers - 1) / workers;
-    std::vector<std::future<void>> pending;
-    for (std::int64_t begin = 0; begin < heads; begin += chunk) {
-      const std::int64_t end = std::min(begin + chunk, heads);
-      pending.push_back(
-          compute_pool_->submit([&, begin, end] { head_range(begin, end); }));
+  if (lanes <= 1 || t_new * total * h < kAttentionSplitWork) {
+    for (std::int64_t head = 0; head < heads; ++head) {
+      rows_of_head(head, 0, t_new, lanes_[0].scores.data());
     }
-    for (auto& f : pending) f.get();
+    return;
   }
+  // Chunks of (head, query-row block): at least two per lane where the
+  // rows allow, so lanes stay busy when heads do not divide evenly.
+  const std::int64_t blocks = std::min<std::int64_t>(
+      t_new, std::max<std::int64_t>(1, (2 * lanes + heads - 1) / heads));
+  compute_pool_->parallel_for(
+      heads * blocks,
+      [&](std::int64_t chunk, int lane) {
+        const std::int64_t head = chunk / blocks;
+        const std::int64_t block = chunk % blocks;
+        rows_of_head(head, t_new * block / blocks,
+                     t_new * (block + 1) / blocks,
+                     lanes_[static_cast<std::size_t>(lane)].scores.data());
+      },
+      lanes);
 }
 
 void Transformer::layer_forward(const LayerWeights& w, std::int64_t layer,
                                 RowGroup& group,
                                 std::vector<SequenceCache*>& caches,
-                                KVViews& views) {
+                                KVViews& views, int lanes) {
   const std::int64_t h = spec_.hidden;
   const std::int64_t rows = group.x.shape()[0];
 
@@ -219,11 +318,18 @@ void Transformer::layer_forward(const LayerWeights& w, std::int64_t layer,
       const auto span = task_span("compute");
       const Tensor normed1 =
           tensor::layer_norm(group.x, w.ln1_gamma, w.ln1_beta);
-      q = tensor::matmul_nt_blocked(normed1, w.wq);
-      k = tensor::matmul_nt_blocked(normed1, w.wk);
-      v = tensor::matmul_nt_blocked(normed1, w.wv);
+      q = matmul(normed1, w.wq, lanes);
+      k = matmul(normed1, w.wk, lanes);
+      v = matmul(normed1, w.wv, lanes);
     }
-    // Cache append and attention per sequence, in batch order.
+    // Cache append and attention per sequence, in batch order, on this
+    // thread; only the attention math fans out.
+    const std::span<const float> krows = std::as_const(k).f32();
+    const std::span<const float> vrows = std::as_const(v).f32();
+    const auto row = [h](std::span<const float> m, std::int64_t i) {
+      return m.subspan(static_cast<std::size_t>(i * h),
+                       static_cast<std::size_t>(h));
+    };
     std::int64_t row0 = 0;
     for (std::size_t m = 0; m < group.rows.size(); ++m) {
       const std::int64_t t_new = group.rows[m];
@@ -233,12 +339,11 @@ void Transformer::layer_forward(const LayerWeights& w, std::int64_t layer,
         // Appended quantized at rest if enabled.
         const auto span = task_span("store_cache");
         for (std::int64_t i = row0; i < row0 + t_new; ++i) {
-          cache.append(tensor::slice_rows(k, i, i + 1).reshaped({h}),
-                       tensor::slice_rows(v, i, i + 1).reshaped({h}));
+          cache.append(row(krows, i), row(vrows, i));
         }
       }
-      attention(q.f32().data() + row0 * h, t_new, cache, views,
-                attn.f32().data() + row0 * h);
+      attention(std::as_const(q).f32().data() + row0 * h, t_new, cache,
+                views, attn.f32().data() + row0 * h, lanes);
       row0 += t_new;
     }
   }
@@ -246,23 +351,11 @@ void Transformer::layer_forward(const LayerWeights& w, std::int64_t layer,
   // Output projection, residual and the pre-LN MLP block with the model
   // family's non-linearity.
   const auto span = task_span("compute");
-  const Tensor mid =
-      tensor::add(group.x, tensor::matmul_nt_blocked(attn, w.wo));
+  const Tensor mid = tensor::add(group.x, matmul(attn, w.wo, lanes));
   const Tensor normed2 = tensor::layer_norm(mid, w.ln2_gamma, w.ln2_beta);
-  const Tensor pre = tensor::matmul_nt_blocked(normed2, w.w1);
-  Tensor up;
-  switch (spec_.activation) {
-    case model::Activation::kGelu:
-      up = tensor::gelu(pre);
-      break;
-    case model::Activation::kRelu:
-      up = tensor::relu(pre);
-      break;
-    case model::Activation::kSilu:
-      up = tensor::silu(pre);
-      break;
-  }
-  group.x = tensor::add(mid, tensor::matmul_nt_blocked(up, w.w2));
+  Tensor up = matmul(normed2, w.w1, lanes);
+  activate(up, lanes);
+  group.x = tensor::add(mid, matmul(up, w.w2, lanes));
 }
 
 void Transformer::forward(std::vector<Tensor>& states,
@@ -305,6 +398,7 @@ void Transformer::forward(std::vector<Tensor>& states,
   }
 
   KVViews views;
+  const int lanes = prepare_lanes();
   for (std::int64_t layer = 0; layer < spec_.num_layers; ++layer) {
     if (prefetch != nullptr) {
       // Warm the next layer's host payloads concurrently with compute. The
@@ -319,7 +413,7 @@ void Transformer::forward(std::vector<Tensor>& states,
     }
     const LayerWeights w = fetch_layer(layer);
     for (RowGroup& group : groups) {
-      layer_forward(w, layer, group, caches, views);
+      layer_forward(w, layer, group, caches, views, lanes);
     }
   }
 
@@ -354,7 +448,7 @@ Tensor Transformer::logits(const std::vector<Tensor>& states) {
                 static_cast<std::size_t>(h) * sizeof(float));
   }
   const Tensor normed = tensor::layer_norm(last, lnf_gamma_, lnf_beta_);
-  return tensor::matmul_nt_blocked(normed, embedding_);
+  return matmul(normed, embedding_, prepare_lanes());
 }
 
 }  // namespace lmo::runtime

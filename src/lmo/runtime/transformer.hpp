@@ -55,9 +55,13 @@ class Transformer {
   /// Embed a token sequence → [T, h].
   tensor::Tensor embed(std::span<const std::int64_t> tokens);
 
-  /// Intra-op parallelism for the attention kernel: heads are split across
-  /// `pool` (nullptr = serial). Heads are independent, so the parallel
-  /// result is bit-identical to the serial one.
+  /// Intra-op parallelism: with `pool` set (nullptr = serial), the calling
+  /// thread and the pool's workers split GEMM output-column panels,
+  /// activation element ranges and attention (head, query-row) blocks —
+  /// each above a fixed work floor — through ThreadPool::parallel_for.
+  /// Every output element is computed by one lane in the serial order, so
+  /// results are bit-identical at any lane count. KV reads and appends,
+  /// fault draws and trace spans stay on the calling thread.
   void set_compute_pool(parallel::ThreadPool* pool) { compute_pool_ = pool; }
 
   /// Run all layers over a batch of hidden-state matrices ([T_i, h]),
@@ -100,21 +104,37 @@ class Transformer {
   struct KVViews {
     KVRowView k, v;
   };
+  /// One compute lane's scratch, owned here and sized on the calling
+  /// thread, so no lane allocates: the GEMM's packing buffer and one
+  /// attention query's scores.
+  struct LaneScratch {
+    std::vector<float> gemm, scores;
+  };
 
   LayerWeights fetch_layer(std::int64_t layer);
+  /// Lanes for the next pass (1 without a pool), with their GEMM scratch
+  /// sized.
+  int prepare_lanes();
+  /// matmul_nt_blocked(a, b), split on column panels above the work floor.
+  tensor::Tensor matmul(const tensor::Tensor& a, const tensor::Tensor& b,
+                        int lanes);
+  /// The model's activation in place, split on element ranges above the
+  /// work floor.
+  void activate(tensor::Tensor& x, int lanes);
   /// One layer over one row group: attention (per sequence, with cache
   /// append) + MLP, one GEMM per weight.
   void layer_forward(const LayerWeights& w, std::int64_t layer,
                      RowGroup& group, std::vector<SequenceCache*>& caches,
-                     KVViews& views);
+                     KVViews& views, int lanes);
   /// Causal attention of one sequence's `t_new` query rows `q` over
   /// `cache` (already holding them), written to `out` ([t_new, h] rows).
   void attention(const float* q, std::int64_t t_new, const KVCache& cache,
-                 KVViews& views, float* out);
+                 KVViews& views, float* out, int lanes);
 
   model::ModelSpec spec_;
   OffloadManager& manager_;
   parallel::ThreadPool* compute_pool_ = nullptr;
+  std::vector<LaneScratch> lanes_;
   tensor::Tensor embedding_;  ///< [vocab, h], always device-resident
   tensor::Tensor lnf_gamma_, lnf_beta_;
 };

@@ -76,10 +76,11 @@ void tile(const float* a, std::int64_t lda, const float* panel,
 // Fewer rows than a tile: packing B would cost as much as the product, so
 // each row instead runs kPanelCols independent scalar chains over B's rows.
 void small_m(const float* a, const float* b, float* c, std::int64_t m,
-             std::int64_t k, std::int64_t n, std::int64_t block) {
+             std::int64_t k, std::int64_t n, std::int64_t ldc,
+             std::int64_t block, float* /*scratch*/) {
   for (std::int64_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
-    float* crow = c + i * n;
+    float* crow = c + i * ldc;
     std::int64_t j = 0;
     for (; j + kPanelCols <= n; j += kPanelCols) {
       const float* brow = b + j * k;
@@ -108,11 +109,13 @@ void small_m(const float* a, const float* b, float* c, std::int64_t m,
 }
 
 // SSE2 kernel: 4-row tiles over panels of 8 B columns, each panel packed
-// transposed to [kb][kPanelCols] once and reused by every row tile.
+// transposed to [kb][kPanelCols] into `scratch` once and reused by every
+// row tile.
 void gemm_sse2(const float* a, const float* b, float* c, std::int64_t m,
-               std::int64_t k, std::int64_t n, std::int64_t block) {
-  std::vector<float> panel(
-      static_cast<std::size_t>(kPanelCols * std::min(block, k)));
+               std::int64_t k, std::int64_t n, std::int64_t ldc,
+               std::int64_t block, float* scratch) {
+  const std::span<float> panel(
+      scratch, static_cast<std::size_t>(kPanelCols * std::min(block, k)));
   for (std::int64_t j0 = 0; j0 < n; j0 += kPanelCols) {
     const std::int64_t cols = std::min(kPanelCols, n - j0);
     for (std::int64_t k0 = 0; k0 < k; k0 += block) {
@@ -126,11 +129,11 @@ void gemm_sse2(const float* a, const float* b, float* c, std::int64_t m,
       }
       std::int64_t i = 0;
       for (; i + kTileRows <= m; i += kTileRows) {
-        tile<kTileRows>(a + i * k + k0, k, panel.data(), kb, c + i * n + j0,
-                        n, cols);
+        tile<kTileRows>(a + i * k + k0, k, panel.data(), kb,
+                        c + i * ldc + j0, ldc, cols);
       }
       for (; i < m; ++i) {
-        tile<1>(a + i * k + k0, k, panel.data(), kb, c + i * n + j0, n,
+        tile<1>(a + i * k + k0, k, panel.data(), kb, c + i * ldc + j0, ldc,
                 cols);
       }
     }
@@ -140,18 +143,20 @@ void gemm_sse2(const float* a, const float* b, float* c, std::int64_t m,
 #ifdef LMO_X86
 constexpr std::int64_t kWide = 8;  // A rows and B rows per AVX2 tile
 
-// AVX2 kernel: Aᵀ of 8 rows × one k-block is packed so that one ymm holds
-// column k of all 8 rows; B is read in place. For each group of 8 B rows,
-// accumulator jj collects Aᵀ[kk] · B[j0+jj][k0+kk] over the k-block (lane
-// r = C[i0+r][j0+jj]), then the 8×8 block is transposed and added into C.
+// AVX2 kernel: Aᵀ of 8 rows × one k-block is packed into `scratch` so that
+// one ymm holds column k of all 8 rows; B is read in place. For each group
+// of 8 B rows, accumulator jj collects Aᵀ[kk] · B[j0+jj][k0+kk] over the
+// k-block (lane r = C[i0+r][j0+jj]), then the 8×8 block is transposed and
+// added into C.
 // Multiplies and adds stay separate instructions (no FMA) so each product
 // rounds exactly as in the scalar reference. Rows past m are zero lanes
 // and B rows past n re-read the last row; both are dropped on write-back.
 __attribute__((target("avx2")))
 void gemm_avx2(const float* a, const float* b, float* c, std::int64_t m,
-               std::int64_t k, std::int64_t n, std::int64_t block) {
-  std::vector<float> packed(
-      static_cast<std::size_t>(kWide * std::min(block, k)));
+               std::int64_t k, std::int64_t n, std::int64_t ldc,
+               std::int64_t block, float* scratch) {
+  const std::span<float> packed(
+      scratch, static_cast<std::size_t>(kWide * std::min(block, k)));
   for (std::int64_t i0 = 0; i0 < m; i0 += kWide) {
     const std::int64_t rows = std::min(kWide, m - i0);
     for (std::int64_t k0 = 0; k0 < k; k0 += block) {
@@ -204,10 +209,10 @@ void gemm_avx2(const float* a, const float* b, float* c, std::int64_t m,
             _mm256_permute2f128_ps(u1, u5, 0x31),
             _mm256_permute2f128_ps(u2, u6, 0x31),
             _mm256_permute2f128_ps(u3, u7, 0x31)};
-        float* cblock = c + i0 * n + j0;
+        float* cblock = c + i0 * ldc + j0;
         if (cols == kWide) {
           for (std::int64_t r = 0; r < rows; ++r) {
-            float* crow = cblock + r * n;
+            float* crow = cblock + r * ldc;
             _mm256_storeu_ps(crow,
                              _mm256_add_ps(_mm256_loadu_ps(crow), out[r]));
           }
@@ -215,7 +220,7 @@ void gemm_avx2(const float* a, const float* b, float* c, std::int64_t m,
           for (std::int64_t r = 0; r < rows; ++r) {
             float sums[kWide];
             _mm256_storeu_ps(sums, out[r]);
-            float* crow = cblock + r * n;
+            float* crow = cblock + r * ldc;
             for (std::int64_t j = 0; j < cols; ++j) crow[j] += sums[j];
           }
         }
@@ -226,7 +231,8 @@ void gemm_avx2(const float* a, const float* b, float* c, std::int64_t m,
 #endif
 
 using GemmFn = void (*)(const float*, const float*, float*, std::int64_t,
-                       std::int64_t, std::int64_t, std::int64_t);
+                       std::int64_t, std::int64_t, std::int64_t, std::int64_t,
+                       float*);
 
 GemmFn kernel_fn(detail::GemmKernel kernel) {
   if (kernel == detail::GemmKernel::kAvx2) {
@@ -239,6 +245,13 @@ GemmFn kernel_fn(detail::GemmKernel kernel) {
   return gemm_sse2;
 }
 
+// The kernel matmul_nt_blocked runs for an m-row product.
+GemmFn default_kernel(std::int64_t m) {
+  if (m < kTileRows) return small_m;
+  return kernel_fn(detail::cpu_has_avx2() ? detail::GemmKernel::kAvx2
+                                          : detail::GemmKernel::kSse2);
+}
+
 // C = A · Bᵀ into a fresh zeroed C through `kernel`, after validating the
 // operands.
 Tensor run_gemm(const Tensor& a, const Tensor& b, std::int64_t block,
@@ -248,7 +261,12 @@ Tensor run_gemm(const Tensor& a, const Tensor& b, std::int64_t block,
   const std::int64_t n = b.shape()[0];
   Tensor c = Tensor::zeros({m, n});
   if (m > 0 && n > 0) {
-    kernel(a.f32().data(), b.f32().data(), c.f32().data(), m, k, n, block);
+    std::vector<float> scratch(
+        kernel == small_m
+            ? 0
+            : static_cast<std::size_t>(matmul_nt_scratch_floats(k, block)));
+    kernel(a.f32().data(), b.f32().data(), c.f32().data(), m, k, n, n, block,
+           scratch.data());
   }
   return c;
 }
@@ -284,11 +302,32 @@ Tensor matmul_nt_with(GemmKernel kernel, const Tensor& a, const Tensor& b,
 Tensor matmul_nt_blocked(const Tensor& a, const Tensor& b,
                          std::int64_t block) {
   check_operands(a, b, block);
-  if (a.shape()[0] < kTileRows) return run_gemm(a, b, block, small_m);
-  return run_gemm(a, b, block,
-                  kernel_fn(detail::cpu_has_avx2()
-                                ? detail::GemmKernel::kAvx2
-                                : detail::GemmKernel::kSse2));
+  return run_gemm(a, b, block, default_kernel(a.shape()[0]));
+}
+
+std::int64_t matmul_nt_scratch_floats(std::int64_t k, std::int64_t block) {
+  return kPanelCols * std::min(block, k);  // kPanelCols == kWide
+}
+
+void matmul_nt_cols(const Tensor& a, const Tensor& b, Tensor& c,
+                    std::int64_t col_begin, std::int64_t col_end,
+                    std::span<float> scratch, std::int64_t block) {
+  check_operands(a, b, block);
+  const std::int64_t m = a.shape()[0];
+  const std::int64_t k = a.shape()[1];
+  const std::int64_t n = b.shape()[0];
+  require_rank2(c, "matmul_nt_cols output");
+  LMO_CHECK_EQ(c.shape()[0], m);
+  LMO_CHECK_EQ(c.shape()[1], n);
+  LMO_CHECK_GE(col_begin, 0);
+  LMO_CHECK_LE(col_begin, col_end);
+  LMO_CHECK_LE(col_end, n);
+  LMO_CHECK_GE(static_cast<std::int64_t>(scratch.size()),
+               matmul_nt_scratch_floats(k, block));
+  if (m == 0 || col_begin == col_end) return;
+  default_kernel(m)(a.f32().data(), b.f32().data() + col_begin * k,
+                    c.f32().data() + col_begin, m, k, col_end - col_begin, n,
+                    block, scratch.data());
 }
 
 Tensor add(const Tensor& a, const Tensor& b) {
@@ -375,24 +414,36 @@ Tensor layer_norm(const Tensor& a, const Tensor& gamma, const Tensor& beta,
   return out;
 }
 
+void gelu_inplace(std::span<float> x) {
+  const float c = 0.7978845608028654f;  // sqrt(2/pi)
+  for (float& v : x) {
+    v = 0.5f * v * (1.0f + std::tanh(c * (v + 0.044715f * v * v * v)));
+  }
+}
+
+void relu_inplace(std::span<float> x) {
+  for (float& v : x) v = std::max(v, 0.0f);
+}
+
+void silu_inplace(std::span<float> x) {
+  for (float& v : x) v = v / (1.0f + std::exp(-v));
+}
+
 Tensor gelu(const Tensor& a) {
   Tensor out = a.clone();
-  const float c = 0.7978845608028654f;  // sqrt(2/pi)
-  for (float& x : out.f32()) {
-    x = 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
-  }
+  gelu_inplace(out.f32());
   return out;
 }
 
 Tensor relu(const Tensor& a) {
   Tensor out = a.clone();
-  for (float& x : out.f32()) x = std::max(x, 0.0f);
+  relu_inplace(out.f32());
   return out;
 }
 
 Tensor silu(const Tensor& a) {
   Tensor out = a.clone();
-  for (float& x : out.f32()) x = x / (1.0f + std::exp(-x));
+  silu_inplace(out.f32());
   return out;
 }
 

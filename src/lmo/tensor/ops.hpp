@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "lmo/tensor/tensor.hpp"
 
@@ -25,6 +26,20 @@ namespace lmo::tensor {
 Tensor matmul_nt_blocked(const Tensor& a, const Tensor& b,
                          std::int64_t block = 64);
 
+/// Floats of packing scratch matmul_nt_cols needs at inner extent k.
+std::int64_t matmul_nt_scratch_floats(std::int64_t k, std::int64_t block = 64);
+
+/// Output columns [col_begin, col_end) of matmul_nt_blocked(a, b), added
+/// into the same columns of `c` ([m, n], zeroed by the caller), with
+/// `scratch` (≥ matmul_nt_scratch_floats(k, block) floats) as the kernel's
+/// packing buffer. Runs the kernel matmul_nt_blocked picks for m, so every
+/// element is bytewise equal to matmul_nt_blocked's; allocates nothing, and
+/// calls over disjoint column ranges may run concurrently (the runtime
+/// splits a GEMM on 8-column panel boundaries across its compute lanes).
+void matmul_nt_cols(const Tensor& a, const Tensor& b, Tensor& c,
+                    std::int64_t col_begin, std::int64_t col_end,
+                    std::span<float> scratch, std::int64_t block = 64);
+
 /// out = a + b, elementwise, matching shapes.
 Tensor add(const Tensor& a, const Tensor& b);
 
@@ -43,6 +58,13 @@ Tensor layer_norm(const Tensor& a, const Tensor& gamma, const Tensor& beta,
 
 /// Elementwise tanh-approximation GELU.
 Tensor gelu(const Tensor& a);
+
+/// gelu / relu / silu in place over a range of elements: the per-element
+/// code of the Tensor versions, so a caller may split one tensor into
+/// element ranges across threads and get the same bytes.
+void gelu_inplace(std::span<float> x);
+void relu_inplace(std::span<float> x);
+void silu_inplace(std::span<float> x);
 
 /// Elementwise ReLU (OPT uses ReLU in its MLP).
 Tensor relu(const Tensor& a);

@@ -152,6 +152,56 @@ QuantizedTensor quantize_profiled(const Tensor& input,
   return out;
 }
 
+void quantize_into(std::span<const float> input, const QuantConfig& config,
+                   std::span<float> group_min, std::span<float> group_scale,
+                   std::span<std::uint8_t> codes) {
+  config.validate();
+  const auto numel = static_cast<std::int64_t>(input.size());
+  const std::int64_t gs = config.group_size;
+  const std::int64_t num_groups = (numel + gs - 1) / gs;
+  const bool packed4 = config.bits == 4;
+  LMO_CHECK_EQ(static_cast<std::int64_t>(group_min.size()), num_groups);
+  LMO_CHECK_EQ(static_cast<std::int64_t>(group_scale.size()), num_groups);
+  LMO_CHECK_EQ(static_cast<std::int64_t>(codes.size()),
+               num_groups * gs / (packed4 ? 2 : 1));
+  const int levels = (1 << config.bits) - 1;
+  for (std::int64_t g = 0; g < num_groups; ++g) {
+    // The same arithmetic as quantize_profiled, with the zero padding of
+    // the last group read as 0.0f instead of copied into a buffer.
+    const float* p = input.data() + g * gs;
+    const std::int64_t count = std::min(gs, numel - g * gs);
+    float mn = p[0];
+    float mx = p[0];
+    for (std::int64_t i = 1; i < count; ++i) {
+      mn = std::min(mn, p[i]);
+      mx = std::max(mx, p[i]);
+    }
+    if (count < gs) {
+      mn = std::min(mn, 0.0f);
+      mx = std::max(mx, 0.0f);
+    }
+    const float scale = (mx - mn) / static_cast<float>(levels);
+    group_min[static_cast<std::size_t>(g)] = mn;
+    group_scale[static_cast<std::size_t>(g)] = scale;
+    const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
+    const auto code = [&](std::int64_t i) {
+      const float normalized = ((i < count ? p[i] : 0.0f) - mn) * inv;
+      const int q = static_cast<int>(std::lround(normalized));
+      return static_cast<std::uint8_t>(std::clamp(q, 0, levels));
+    };
+    if (packed4) {
+      std::uint8_t* out = codes.data() + g * gs / 2;
+      for (std::int64_t i = 0; i < gs; i += 2) {
+        out[i / 2] = static_cast<std::uint8_t>((code(i) & 0x0f) |
+                                               (code(i + 1) << 4));
+      }
+    } else {
+      std::uint8_t* out = codes.data() + g * gs;
+      for (std::int64_t i = 0; i < gs; ++i) out[i] = code(i);
+    }
+  }
+}
+
 void dequantize_into(std::span<const std::uint8_t> codes,
                      std::span<const float> group_min,
                      std::span<const float> group_scale, int bits,

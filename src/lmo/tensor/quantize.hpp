@@ -102,6 +102,16 @@ QuantizedTensor quantize_profiled(const Tensor& input,
                                   const QuantConfig& config,
                                   QuantPhaseTimes* times);
 
+/// quantize() of `input` written straight into caller-owned storage (the
+/// KV append path quantizes each row into its block): one min and one scale
+/// per group, and the codes packed as quantize() packs them. The spans hold
+/// ceil(input.size() / group_size) groups and the padded element count's
+/// code bytes (half of it at 4 bits). Bytewise equal to quantize()'s
+/// group_min(), group_scale() and payload(); allocates nothing.
+void quantize_into(std::span<const float> input, const QuantConfig& config,
+                   std::span<float> group_min, std::span<float> group_scale,
+                   std::span<std::uint8_t> codes);
+
 /// Reconstruct f32 with Eq. 11; padding is stripped, original shape restored.
 Tensor dequantize(const QuantizedTensor& quantized);
 

@@ -742,7 +742,7 @@ int cmd_chaos_bitflip(const Args& args) {
 
   runtime::RuntimeConfig config = tiny_runtime_config(args);
   config.prefetch_threads = 0;  // deterministic draw order
-  config.compute_threads = 0;
+  config.compute_threads = 1;
   config.integrity.policy = integrity::VerifyPolicy::kAlways;
   config.integrity.max_repair_attempts = args.get_int("repair-attempts", 8);
 
@@ -823,7 +823,7 @@ int cmd_chaos_diskfault(const Args& args) {
 
   runtime::RuntimeConfig config = tiny_runtime_config(args);
   config.prefetch_threads = 0;  // deterministic draw order
-  config.compute_threads = 0;
+  config.compute_threads = 1;
 
   // Reference: the whole model on the device+host tiers.
   const Tokens reference = run_armed(config, {kTinyPrompts}, gen_len).tokens;
@@ -1203,7 +1203,7 @@ int cmd_chaos_crash(const Args& args) {
   config.disk_capacity = 8u << 20;
   config.spill_block_bytes = 4096;
   config.prefetch_threads = 0;
-  config.compute_threads = 0;
+  config.compute_threads = 1;
 
   // One uninterrupted supervised run: the reference, and what each child
   // re-runs with a kill armed.

@@ -4,10 +4,15 @@
 // from the per-sequence, copy-every-read runtime.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <span>
+#include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "lmo/integrity/integrity.hpp"
@@ -19,6 +24,22 @@
 #include "lmo/util/fault.hpp"
 #include "lmo/util/rng.hpp"
 #include "lmo/util/status.hpp"
+
+// Heap allocations made by any thread but the one that ran static
+// initialization (the test's main thread): a compute lane must allocate
+// nothing during a forward pass.
+namespace {
+const std::thread::id g_main_thread = std::this_thread::get_id();
+std::atomic<std::size_t> g_off_main_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t bytes) {
+  if (std::this_thread::get_id() != g_main_thread) ++g_off_main_allocations;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace lmo::runtime {
 namespace {
@@ -74,13 +95,22 @@ std::uint64_t fnv(std::uint64_t hash, std::span<const std::byte> bytes) {
   return hash;
 }
 
-std::uint64_t forward_hash(const HashCase& c) {
-  const model::ModelSpec spec = model::ModelSpec::tiny(3, 128, 4, 256);
+/// `lanes` > 1 runs the compute through a pool of lanes − 1 workers.
+std::uint64_t forward_hash(const HashCase& c, int lanes = 1,
+                           model::Activation activation =
+                               model::Activation::kGelu) {
+  model::ModelSpec spec = model::ModelSpec::tiny(3, 128, 4, 256);
+  spec.activation = activation;
   MemoryPool device("device", 256u << 20);
   MemoryPool host("host", 1024u << 20);
   OffloadManager manager(device, host, c.weight_bits, 32);
   Transformer model(spec, manager, c.device_layers, 42);
   parallel::ThreadPool prefetch(2);
+  std::unique_ptr<parallel::ThreadPool> compute;
+  if (lanes > 1) {
+    compute = std::make_unique<parallel::ThreadPool>(lanes - 1);
+    model.set_compute_pool(compute.get());
+  }
   KVBlockPool blocks({.block_tokens = c.block_tokens,
                       .hidden = spec.hidden,
                       .bits = c.kv_bits,
@@ -131,6 +161,71 @@ TEST(ForwardDigest, MatchesThePerSequenceRuntime) {
   };
   for (const HashCase& c : cases) {
     EXPECT_EQ(forward_hash(c), c.digest) << c.name;
+  }
+}
+
+TEST(ForwardDigest, EveryLaneCountMatchesTheSerialRun) {
+  // The ragged prefill (rows up to 70, so m·k·n, t_new·visible·hidden and
+  // the MLP's element count all pass their fork-join floors) and the
+  // decode steps after it, at 2, 3 and 4 compute lanes: every logits byte
+  // and token must equal the serial run's — the recorded digest where
+  // there is one.
+  const HashCase cases[] = {
+      {"fp16", 16, 16, 0, KVFlavor::kDense, 16, 0x7bb915ebf21d3b34ull},
+      {"w4-kv4", 4, 4, 0, KVFlavor::kDense, 16, 0xcdf16a2a0af666bdull},
+      {"window", 16, 16, 0, KVFlavor::kWindow, 16, 0xe5958dadddb3ccbdull},
+  };
+  for (const HashCase& c : cases) {
+    for (int lanes : {2, 3, 4}) {
+      EXPECT_EQ(forward_hash(c, lanes), c.digest)
+          << c.name << " at " << lanes << " lanes";
+    }
+  }
+  for (const model::Activation activation :
+       {model::Activation::kRelu, model::Activation::kSilu}) {
+    const std::uint64_t serial = forward_hash(cases[0], 1, activation);
+    for (int lanes : {2, 3, 4}) {
+      EXPECT_EQ(forward_hash(cases[0], lanes, activation), serial)
+          << model::to_string(activation) << " at " << lanes << " lanes";
+    }
+  }
+}
+
+TEST(ForwardDigest, ComputeLanesAllocateNothing) {
+  // A ragged prefill that splits GEMM panels, attention heads and the
+  // activation, then decode steps, at 4 lanes, over f32 and kv4 caches:
+  // every scratch buffer a lane touches is sized on the calling thread.
+  const model::ModelSpec spec = model::ModelSpec::tiny(2, 128, 4, 256);
+  MemoryPool device("device", 256u << 20);
+  MemoryPool host("host", 256u << 20);
+  OffloadManager manager(device, host, 16, 32);
+  Transformer model(spec, manager, 0, 42);
+  parallel::ThreadPool compute(3);
+  model.set_compute_pool(&compute);
+  for (int bits : {16, 4}) {
+    KVBlockPool blocks({.block_tokens = 16,
+                        .hidden = spec.hidden,
+                        .bits = bits,
+                        .group_size = 32},
+                       &host);
+    util::Xoshiro256 rng(5);
+    std::vector<SequenceCache> caches;
+    std::vector<SequenceCache*> cache_ptrs;
+    std::vector<Tensor> states;
+    for (std::int64_t len : {70, 12, 40}) {
+      states.push_back(model.embed(random_prompt(rng, len)));
+      caches.push_back(make_caches(blocks, spec.num_layers));
+    }
+    for (auto& cache : caches) cache_ptrs.push_back(&cache);
+    g_off_main_allocations = 0;
+    for (int step = 0; step < 3; ++step) {
+      model.forward(states, cache_ptrs);
+      for (auto& state : states) {
+        const std::int64_t token[] = {tensor::argmax(model.logits(state))};
+        state = model.embed(token);
+      }
+    }
+    EXPECT_EQ(g_off_main_allocations.load(), 0u) << "kv" << bits;
   }
 }
 

@@ -389,10 +389,13 @@ runtime::RuntimeConfig tiny_config(runtime::KVFlavor flavor) {
   config.recovery.retry_backoff_seconds = 1e-6;
   config.kv_flavor = flavor;
   config.window_tokens = 6;  // small enough that gen_len wraps the ring
-  // Temperature sampling so the checkpointed RNG state is load-bearing:
-  // a restore that failed to reproduce the xoshiro words would diverge.
-  config.sampling.temperature = 0.9;
-  config.sampling.top_k = 8;
+  // Hot sampling over the whole vocabulary, so the checkpointed RNG state
+  // and every restored KV row are load-bearing: a restore that failed to
+  // reproduce the xoshiro words or a cache row would diverge. (At a
+  // temperature near 1 the toy model repeats one token, and a token
+  // comparison sees nothing.)
+  config.sampling.temperature = 8.0;
+  config.sampling.top_k = 0;
   return config;
 }
 
@@ -489,13 +492,6 @@ TEST(GeneratorCkpt, KillResumeIsDeterministicWindow) {
 // tests/data) must keep resuming to the tokens that build produced in an
 // uninterrupted run. The sampling temperature is high enough that tokens
 // vary step to step yet still depend on the model's logits.
-runtime::RuntimeConfig fixture_config(runtime::KVFlavor flavor) {
-  auto config = tiny_config(flavor);
-  config.sampling.temperature = 8.0;
-  config.sampling.top_k = 0;
-  return config;
-}
-
 void expect_fixture_resumes(
     const runtime::RuntimeConfig& config, const std::string& name,
     const std::vector<std::vector<std::int64_t>>& expected) {
@@ -510,7 +506,7 @@ TEST(GeneratorCkpt, PagedFixtureFromEarlierBuildResumes) {
   // Written mid-decode of kPrompts by the former paged flavor (fingerprint
   // flavor byte 1, read as kDense) with 4-token pages, when the page size
   // was a field of its own.
-  auto config = fixture_config(runtime::KVFlavor::kDense);
+  auto config = tiny_config(runtime::KVFlavor::kDense);
   config.kv_block_tokens = 4;
   expect_fixture_resumes(config, "paged_kv_v3.ckpt",
                          {{4, 35, 10, 10, 19, 19, 13, 13, 14, 62},
@@ -520,7 +516,7 @@ TEST(GeneratorCkpt, PagedFixtureFromEarlierBuildResumes) {
 TEST(GeneratorCkpt, PrefixShareFixtureFromEarlierBuildResumes) {
   // Written mid-decode of a batch whose prompts matched 32 cached tokens
   // (16 per sequence) published by a warm-up batch.
-  auto config = fixture_config(runtime::KVFlavor::kDense);
+  auto config = tiny_config(runtime::KVFlavor::kDense);
   config.prefix_share = true;
   config.kv_block_tokens = 4;
   expect_fixture_resumes(config, "prefix_share_v3.ckpt",
@@ -531,7 +527,7 @@ TEST(GeneratorCkpt, PrefixShareFixtureFromEarlierBuildResumes) {
 TEST(GeneratorCkpt, DenseKv4FixtureFromEarlierBuildResumes) {
   // Written mid-decode of kPrompts when dense KV kept one group-quantized
   // tensor per row.
-  auto config = fixture_config(runtime::KVFlavor::kDense);
+  auto config = tiny_config(runtime::KVFlavor::kDense);
   config.kv_bits = 4;
   expect_fixture_resumes(config, "dense_kv4_v3.ckpt",
                          {{4, 35, 10, 10, 19, 19, 13, 13, 14, 62},
@@ -541,7 +537,7 @@ TEST(GeneratorCkpt, DenseKv4FixtureFromEarlierBuildResumes) {
 TEST(GeneratorCkpt, WindowFixtureFromEarlierBuildResumes) {
   // Written mid-decode of kPrompts with a 6-token window, when the window
   // cache was a ring; the ring had wrapped by the snapshot.
-  expect_fixture_resumes(fixture_config(runtime::KVFlavor::kWindow),
+  expect_fixture_resumes(tiny_config(runtime::KVFlavor::kWindow),
                          "window_kv_v3.ckpt",
                          {{4, 35, 10, 10, 19, 19, 13, 13, 16, 58},
                           {47, 52, 52, 32, 32, 17, 34, 52, 58, 58}});
@@ -682,9 +678,39 @@ TEST(GeneratorCkpt, RuntimeConfigCodecRoundTrips) {
   const auto decoded = runtime::decode_runtime_config(reader);
   EXPECT_TRUE(reader.exhausted());
   EXPECT_TRUE(runtime::runtime_config_equal(decoded, config));
+  EXPECT_EQ(decoded.compute_threads, 3);  // recorded, but not compared
   auto other = config;
+  other.compute_threads = 1;
+  EXPECT_TRUE(runtime::runtime_config_equal(decoded, other));
   other.kv_block_tokens += 1;
   EXPECT_FALSE(runtime::runtime_config_equal(decoded, other));
+}
+
+TEST(GeneratorCkpt, ResumesAtAnotherComputeLaneCount) {
+  // Written at 1 lane, resumed at 3: the decode steps after the resume
+  // split the MLP GEMMs (8 × 256 × 1024 ≥ the split floor) and the
+  // activation across lanes, and the tokens must equal an uninterrupted
+  // serial run.
+  auto config = tiny_config(runtime::KVFlavor::kDense);
+  config.spec = model::ModelSpec::tiny(2, 256, 4, 64);
+  config.compute_threads = 1;
+  std::vector<std::vector<std::int64_t>> prompts;
+  for (std::int64_t s = 0; s < 8; ++s) prompts.push_back({s, 2 * s + 1, 7});
+  const auto reference =
+      runtime::Generator(config).generate(prompts, kGenLen).tokens;
+
+  TempFile file("ckpt_test_lanes.ckpt");
+  {
+    runtime::Generator gen(config);
+    gen.begin(prompts, kGenLen);
+    while (gen.step_index() < kGenLen / 2) gen.step();
+    EXPECT_GT(gen.snapshot(file.path), 0u);
+  }
+  config.compute_threads = 3;
+  runtime::Generator gen(config);
+  gen.resume(file.path);
+  while (!gen.done()) gen.step();
+  EXPECT_EQ(gen.finish().tokens, reference);
 }
 
 }  // namespace

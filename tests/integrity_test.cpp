@@ -365,7 +365,7 @@ runtime::RuntimeConfig tiny_integrity_config() {
   config.quant_group = 32;
   config.device_layers = 0;  // every layer streams through the fetch path
   config.prefetch_threads = 0;
-  config.compute_threads = 0;
+  config.compute_threads = 1;
   config.recovery.retry_backoff_seconds = 1e-5;
   config.integrity.policy = integrity::VerifyPolicy::kAlways;
   config.integrity.max_repair_attempts = 8;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "lmo/runtime/checkpoint.hpp"
@@ -145,34 +146,60 @@ TEST(KVCache, BlockTableHoldsRowsInAppendOrder) {
 
 TEST(KVCache, QuantizedRowsHoldTheQuantizersBytes) {
   // A stored row is tensor::quantize's output verbatim — mins, scales,
-  // packed codes — and reads back as tensor::dequantize of it.
+  // packed codes — quantized straight into the block, and reads back as
+  // tensor::dequantize of it. Ragged widths pad the last group with zeros;
+  // the all-negative and constant rows make that padding set the group's
+  // max and its zero scale.
+  struct Shape {
+    std::int64_t hidden, group;
+  };
   for (const int bits : {8, 4}) {
-    SCOPED_TRACE(bits);
-    MemoryPool mem("p", 1 << 20);
-    KVBlockPool pool(small_blocks(bits), &mem);
-    EXPECT_EQ(pool.row_groups(), 2);
-    EXPECT_EQ(pool.row_payload_bytes(), static_cast<std::size_t>(bits));
-    KVCache cache(pool);
-    util::Xoshiro256 rng(9);
-    std::vector<Tensor> rows;
-    for (int i = 0; i < 6; ++i) {
-      rows.push_back(Tensor::uniform({8}, rng));
-      cache.append(rows.back(), rows.back());
-    }
-    const Tensor keys = cache.keys();
-    for (std::int64_t i = 0; i < 6; ++i) {
-      const auto q = tensor::quantize(rows[static_cast<std::size_t>(i)],
-                                      tensor::QuantConfig{bits, 4});
-      const auto row = cache.stored_row(KVPlane::kKeys, i);
-      EXPECT_EQ(std::memcmp(row.data(), q.group_min().data(), 8), 0);
-      EXPECT_EQ(std::memcmp(row.data() + 8, q.group_scale().data(), 8), 0);
-      EXPECT_EQ(std::memcmp(row.data() + 16, q.payload().data(),
-                            q.payload().size()),
-                0);
-      const Tensor decoded = tensor::dequantize(q);
-      EXPECT_EQ(std::memcmp(keys.f32().data() + i * 8, decoded.f32().data(),
-                            8 * sizeof(float)),
-                0);
+    for (const Shape shape : {Shape{8, 4}, Shape{10, 4}, Shape{7, 8}}) {
+      SCOPED_TRACE(std::to_string(bits) + " bits, hidden " +
+                   std::to_string(shape.hidden));
+      MemoryPool mem("p", 1 << 20);
+      KVBlockPoolConfig config = small_blocks(bits);
+      config.hidden = shape.hidden;
+      config.group_size = shape.group;
+      KVBlockPool pool(config, &mem);
+      const auto groups = static_cast<std::size_t>(pool.row_groups());
+      KVCache cache(pool);
+      util::Xoshiro256 rng(9);
+      std::vector<Tensor> rows;
+      for (int i = 0; i < 6; ++i) {
+        rows.push_back(Tensor::uniform({shape.hidden}, rng));
+        cache.append(rows.back(), Tensor::uniform({shape.hidden}, rng));
+      }
+      rows.push_back(Tensor::uniform({shape.hidden}, rng, -2.0f, -1.0f));
+      rows.push_back(Tensor::full({shape.hidden}, 0.25f));
+      for (std::size_t i = 6; i < rows.size(); ++i) {
+        cache.append(rows[i], rows[i]);
+      }
+      const Tensor keys = cache.keys();
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const auto q =
+            tensor::quantize(rows[i], tensor::QuantConfig{bits, shape.group});
+        ASSERT_EQ(q.group_min().size(), groups);
+        ASSERT_EQ(q.payload().size(), pool.row_payload_bytes());
+        const auto row =
+            cache.stored_row(KVPlane::kKeys, static_cast<std::int64_t>(i));
+        const std::size_t meta = groups * sizeof(float);
+        EXPECT_EQ(std::memcmp(row.data(), q.group_min().data(), meta), 0) << i;
+        EXPECT_EQ(std::memcmp(row.data() + meta, q.group_scale().data(), meta),
+                  0)
+            << i;
+        EXPECT_EQ(std::memcmp(row.data() + 2 * meta, q.payload().data(),
+                              q.payload().size()),
+                  0)
+            << i;
+        const Tensor decoded = tensor::dequantize(q);
+        EXPECT_EQ(std::memcmp(keys.f32().data() + i * shape.hidden,
+                              decoded.f32().data(),
+                              static_cast<std::size_t>(shape.hidden) *
+                                  sizeof(float)),
+                  0)
+            << i;
+      }
     }
   }
 }

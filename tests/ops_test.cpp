@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <vector>
 
 #include "matmul_reference.hpp"
 
@@ -125,6 +127,69 @@ INSTANTIATE_TEST_SUITE_P(Ops, MatmulKernel,
                            }
                            return "Dispatched";
                          });
+
+// Column ranges assembled into one output equal the whole product byte for
+// byte — on 8-column panel boundaries (the runtime's split) and off them,
+// through the small-m path and the wide kernels — and a range writes no
+// column outside itself.
+TEST(Ops, MatmulNtColsAssemblesTheBlockedProduct) {
+  util::Xoshiro256 rng(23);
+  for (std::int64_t m : {1, 3, 4, 9, 64}) {
+    for (std::int64_t k : {65, 130}) {
+      for (std::int64_t n : {13, 30, 64}) {
+        const Tensor a = Tensor::normal({m, k}, rng, 1.0f);
+        const Tensor b = Tensor::normal({n, k}, rng, 1.0f);
+        const Tensor want = matmul_nt_blocked(a, b);
+        std::vector<float> scratch(
+            static_cast<std::size_t>(matmul_nt_scratch_floats(k)));
+        for (std::int64_t cut : {std::int64_t{8}, std::int64_t{5}}) {
+          Tensor got = Tensor::zeros({m, n});
+          for (std::int64_t j = 0; j < n; j += cut) {
+            matmul_nt_cols(a, b, got, j, std::min(n, j + cut), scratch);
+          }
+          EXPECT_EQ(std::memcmp(got.raw().data(), want.raw().data(),
+                                want.raw().size()),
+                    0)
+              << "m=" << m << " k=" << k << " n=" << n << " cut=" << cut;
+        }
+        Tensor part = Tensor::zeros({m, n});
+        matmul_nt_cols(a, b, part, 8, std::min<std::int64_t>(n, 16), scratch);
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t j = 0; j < n; ++j) {
+            if (j < 8 || j >= 16) EXPECT_EQ(part.at({i, j}), 0.0f);
+          }
+        }
+      }
+    }
+  }
+  Tensor c = Tensor::zeros({2, 8});
+  std::vector<float> small(4), enough(64);
+  EXPECT_THROW(matmul_nt_cols(Tensor::zeros({2, 64}), Tensor::zeros({8, 64}),
+                              c, 0, 8, small),
+               CheckError);
+  EXPECT_THROW(matmul_nt_cols(Tensor::zeros({2, 3}), Tensor::zeros({8, 3}),
+                              c, 0, 9, enough),
+               CheckError);
+}
+
+TEST(Ops, ActivationRangesMatchTheWholeTensor) {
+  util::Xoshiro256 rng(24);
+  const Tensor x = Tensor::normal({3, 37}, rng, 2.0f);
+  const struct {
+    Tensor (*whole)(const Tensor&);
+    void (*range)(std::span<float>);
+  } kinds[] = {{gelu, gelu_inplace}, {relu, relu_inplace}, {silu, silu_inplace}};
+  for (const auto& kind : kinds) {
+    Tensor split = x.clone();
+    const std::span<float> all = split.f32();
+    kind.range(all.first(50));
+    kind.range(all.subspan(50));
+    const Tensor want = kind.whole(x);
+    EXPECT_EQ(std::memcmp(split.raw().data(), want.raw().data(),
+                          want.raw().size()),
+              0);
+  }
+}
 
 TEST(Ops, MatmulNtWithValidatesOperands) {
   const Tensor a = Tensor::zeros({4, 3});

@@ -5,7 +5,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "lmo/parallel/bundling.hpp"
 #include "lmo/parallel/cache_model.hpp"
@@ -64,6 +67,96 @@ TEST(ThreadPool, TasksRunConcurrentlyAcrossWorkers) {
   pool.wait_idle();
   EXPECT_GE(peak.load(), 1);
   EXPECT_LE(peak.load(), 2);
+}
+
+TEST(ThreadPool, ParallelForRunsEveryChunkOnceOnDistinctLanes) {
+  ThreadPool pool(3);
+  for (std::int64_t n : {0, 1, 2, 3, 4, 5, 17, 64}) {
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+    std::vector<std::atomic<int>> busy(4);
+    std::atomic<bool> shared_lane{false};
+    pool.parallel_for(n, [&](std::int64_t i, int lane) {
+      ASSERT_GE(lane, 0);
+      ASSERT_LT(lane, 4);
+      if (busy[static_cast<std::size_t>(lane)].fetch_add(1) != 0) {
+        shared_lane = true;
+      }
+      ++hits[static_cast<std::size_t>(i)];
+      busy[static_cast<std::size_t>(lane)].fetch_sub(1);
+    });
+    EXPECT_FALSE(shared_lane) << "n = " << n;
+    for (std::int64_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << i;
+    }
+  }
+  // The lane cap holds too.
+  std::atomic<int> top{0};
+  pool.parallel_for(
+      32,
+      [&](std::int64_t, int lane) {
+        int seen = top.load();
+        while (lane > seen && !top.compare_exchange_weak(seen, lane)) {
+        }
+      },
+      2);
+  EXPECT_LE(top.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForStress) {
+  // Many fork-joins with uneven chunk counts, some with a throwing chunk,
+  // while another thread resizes the pool and submits tasks. Every call
+  // must run each chunk at most once (exactly once when none throws),
+  // rethrow the chunk's exception only after every started chunk has
+  // returned, and leave the pool usable.
+  ThreadPool pool(2);
+  std::atomic<bool> done{false};
+  std::thread resizer([&] {
+    int size = 1;
+    while (!done.load()) {
+      pool.resize(size);
+      pool.submit([] {}).get();
+      size = size % 4 + 1;
+    }
+  });
+  for (int call = 0; call < 400; ++call) {
+    const std::int64_t n = 1 + (call * 7) % 23;
+    const std::int64_t throw_at = call % 5 == 0 ? (call / 5) % n : -1;
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+    std::atomic<int> running{0};
+    const auto body = [&](std::int64_t i, int) {
+      ++running;
+      ++hits[static_cast<std::size_t>(i)];
+      if (i == throw_at) {
+        --running;
+        throw std::runtime_error("chunk " + std::to_string(i));
+      }
+      std::this_thread::yield();
+      --running;
+    };
+    if (throw_at >= 0) {
+      EXPECT_THROW(pool.parallel_for(n, body), std::runtime_error);
+    } else {
+      pool.parallel_for(n, body);
+    }
+    EXPECT_EQ(running.load(), 0) << "call " << call;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const int h = hits[static_cast<std::size_t>(i)].load();
+      if (throw_at >= 0) {
+        EXPECT_LE(h, 1) << "call " << call << " chunk " << i;
+      } else {
+        EXPECT_EQ(h, 1) << "call " << call << " chunk " << i;
+      }
+    }
+  }
+  done = true;
+  resizer.join();
+
+  // A chunk that calls back into its own pool runs the inner loop inline.
+  std::atomic<int> inner{0};
+  pool.parallel_for(4, [&](std::int64_t, int) {
+    pool.parallel_for(3, [&](std::int64_t, int) { ++inner; });
+  });
+  EXPECT_EQ(inner.load(), 12);
 }
 
 // --------------------------------------------------------------- interop --

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
+#include <vector>
 
 #include "lmo/tensor/quantize.hpp"
 #include "lmo/util/check.hpp"
@@ -85,6 +87,36 @@ TEST(Quantize, ProfiledPhasesSumToTotalAndAreNonNegative) {
   EXPECT_GE(times.normalize, 0.0);
   EXPECT_GE(times.pack, 0.0);
   EXPECT_GT(times.total(), 0.0);
+}
+
+TEST(Quantize, IntoSpansMatchesQuantizeBytewise) {
+  // quantize_into writes the bytes quantize() returns, padding included:
+  // ragged element counts, negative-only groups (the zero padding sets the
+  // max) and constant groups (zero scale).
+  util::Xoshiro256 rng(17);
+  for (const int bits : {8, 4}) {
+    for (const std::int64_t n : {1, 7, 8, 33, 64, 100}) {
+      for (const float lo : {-1.0f, -3.0f}) {
+        const float hi = lo < -2.0f ? -2.0f : 1.0f;
+        const Tensor input = Tensor::uniform({n}, rng, lo, hi);
+        for (const Tensor& t : {input, Tensor::full({n}, 0.5f)}) {
+          const QuantConfig config{bits, 8};
+          const QuantizedTensor q = quantize(t, config);
+          std::vector<float> mins(q.group_min().size(), -9.0f);
+          std::vector<float> scales(mins.size(), -9.0f);
+          std::vector<std::uint8_t> codes(q.payload().size(), 0xAB);
+          quantize_into(t.f32(), config, mins, scales, codes);
+          EXPECT_EQ(std::memcmp(mins.data(), q.group_min().data(),
+                                mins.size() * sizeof(float)),
+                    0);
+          EXPECT_EQ(std::memcmp(scales.data(), q.group_scale().data(),
+                                scales.size() * sizeof(float)),
+                    0);
+          EXPECT_EQ(codes, q.payload()) << bits << " bits, n " << n;
+        }
+      }
+    }
+  }
 }
 
 TEST(Quantize, MaxQuantErrorHelper) {

@@ -5,7 +5,7 @@
 // parent recovers each kill in-process from the on-disk state alone and
 // asserts byte-identical tokens and zero leaked blocks.
 //
-// The configs run with prefetch_threads == 0 and compute_threads == 0:
+// The configs run with prefetch_threads == 0 and compute_threads == 1:
 // the child is forked, and fork() of a multithreaded process may deadlock
 // in the child (TSan in particular forbids it). Parent and child both use
 // thread-free Generators, so every fork in this file stays safe.
@@ -40,7 +40,7 @@ runtime::RuntimeConfig drill_config() {
   config.disk_capacity = 4u << 20;
   config.spill_block_bytes = 4096;
   config.prefetch_threads = 0;  // fork safety: no threads, ever
-  config.compute_threads = 0;
+  config.compute_threads = 1;
   config.recovery.retry_backoff_seconds = 1e-6;
   return config;
 }

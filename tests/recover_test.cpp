@@ -347,7 +347,7 @@ runtime::RuntimeConfig supervised_config() {
   config.disk_capacity = 4u << 20;
   config.spill_block_bytes = 4096;
   config.prefetch_threads = 0;
-  config.compute_threads = 0;
+  config.compute_threads = 1;
   config.recovery.retry_backoff_seconds = 1e-6;
   config.sampling.temperature = 0.9;  // exercise the RNG capture
   config.sampling.top_k = 8;

@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "lmo/runtime/evaluate.hpp"
 #include "lmo/runtime/generator.hpp"
 #include "lmo/runtime/kv_cache.hpp"
 #include "lmo/runtime/mempool.hpp"
@@ -327,20 +328,43 @@ TEST(Generator, RingPrefetchServesEveryLaterFetchFromStaging) {
   mid.step();
 }
 
-TEST(Generator, HeadParallelAttentionBitIdentical) {
-  // Heads are independent, so intra-op parallel attention must reproduce
-  // the serial tokens exactly — any drift means a data race.
-  RuntimeConfig serial = tiny_config(4, 4);
-  serial.compute_threads = 0;
-  RuntimeConfig threaded = serial;
-  threaded.compute_threads = 3;  // does not divide 4 heads — uneven chunks
-
-  Generator g_serial(serial);
-  Generator g_threaded(threaded);
-  const std::vector<std::vector<std::int64_t>> prompts = {
-      {5, 9, 2, 7, 1, 33, 21, 60}, {40, 41, 42, 43}};
-  EXPECT_EQ(g_serial.generate(prompts, 12).tokens,
-            g_threaded.generate(prompts, 12).tokens);
+TEST(Generator, TokensAreBitIdenticalAtAnyLaneCount) {
+  // Prompts long enough that prefill crosses every fork-join floor (GEMM
+  // column panels, activation ranges, attention heads); a batch of three
+  // ragged sequences, sampled hot. Tokens alone can miss a drifted logit,
+  // so a teacher-forced NLL over a 70-token sequence (a sum of every
+  // row's log-softmax) must match exactly too. Any difference between
+  // lane counts means a race or a split that changed an element's
+  // summation order.
+  RuntimeConfig base = tiny_config();
+  base.spec = model::ModelSpec::tiny(2, 128, 4, 256);
+  base.sampling.temperature = 8.0;
+  std::vector<std::vector<std::int64_t>> prompts = {
+      {}, {5, 9, 2, 7, 1, 33, 21, 60}, {}};
+  for (std::int64_t i = 0; i < 70; ++i) prompts[0].push_back(i * 37 % 256);
+  for (std::int64_t i = 0; i < 40; ++i) prompts[2].push_back(i * 11 % 97);
+  struct Case {
+    const char* name;
+    int kv_bits;
+    KVFlavor kv;
+  };
+  for (const Case& c : {Case{"kv16", 16, KVFlavor::kDense},
+                        Case{"kv4", 4, KVFlavor::kDense},
+                        Case{"window", 16, KVFlavor::kWindow}}) {
+    RuntimeConfig config = base;
+    config.kv_bits = c.kv_bits;
+    config.kv_flavor = c.kv;
+    const auto run = [&](int lanes) {
+      config.compute_threads = lanes;
+      Generator gen(config);
+      return std::pair(gen.generate(prompts, 10).tokens,
+                       evaluate_sequence(gen, prompts[0]).nll);
+    };
+    const auto serial = run(1);
+    for (int lanes : {2, 3, 4}) {
+      EXPECT_EQ(run(lanes), serial) << c.name << " at " << lanes << " lanes";
+    }
+  }
 }
 
 TEST(Profiler, MeasuresRealKernelAndFeedsAlgorithm3) {
