@@ -82,6 +82,8 @@ AttentionPlacementDecision decide_attention_placement(
       p.attention_on_cpu = on_cpu;
       p.kv_bits = kv_bits;
       if (on_cpu) p.cache_on_gpu = 0.0;
+      // Hybrid attention extends CPU attention; the GPU side has none.
+      if (!on_cpu) p.hybrid_attention = false;
       const double t = mid_step(spec, w, p, platform).t_gen;
       if (first || t < best) {
         best = t;

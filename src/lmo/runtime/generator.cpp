@@ -198,16 +198,13 @@ Generator::Generator(const RuntimeConfig& config,
       spill_store_ = std::make_unique<store::BlockStore>(
           std::move(backend), sc, &manager_->metrics());
     }
+    // Attach before the transformer registers weights: kDisk registrations
+    // and degradation-ladder spills need the store.
+    manager_->attach_store(spill_store_.get());
   }
   if (config.prefetch_threads > 0) {
     prefetch_pool_ =
         std::make_unique<parallel::ThreadPool>(config.prefetch_threads);
-  }
-  if (spill_store_ != nullptr) {
-    // Attach before the transformer registers weights: kDisk registrations
-    // and degradation-ladder spills need the store, and the staging
-    // pipeline wants the prefetch pool (created above for that reason).
-    manager_->attach_store(spill_store_.get(), prefetch_pool_.get());
   }
   transformer_ = std::make_unique<Transformer>(config.spec, *manager_,
                                                config.device_layers,

@@ -268,8 +268,8 @@ class Generator {
   std::unique_ptr<MemoryPool> device_pool_;
   std::unique_ptr<MemoryPool> host_pool_;
   /// Disk-tier backing (nullptr when disk_capacity == 0). Declared before
-  /// manager_: entries and the staging pipeline hold block handles into
-  /// it, so it must outlive the manager.
+  /// manager_: disk-tier entries hold block handles into it, so it must
+  /// outlive the manager.
   std::unique_ptr<store::BlockStore> spill_store_;
   std::unique_ptr<OffloadManager> manager_;
   /// Checksum registry for the offload path. Declared after manager_ (its

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <span>
 #include <thread>
 #include <vector>
@@ -91,15 +92,10 @@ OffloadManager::OffloadManager(MemoryPool& device_pool, MemoryPool& host_pool,
   disk_spills_ = &metrics_.counter("offload.degrade.disk_spills");
 }
 
-void OffloadManager::attach_store(store::BlockStore* store,
-                                  parallel::ThreadPool* pool) {
+void OffloadManager::attach_store(store::BlockStore* store) {
   LMO_CHECK_MSG(store != nullptr, "attach_store: null store");
   std::lock_guard<std::mutex> lock(mutex_);
   store_ = store;
-  pipeline_ = pool == nullptr
-                  ? nullptr
-                  : std::make_unique<store::StagingPipeline>(
-                        store, pool, /*depth=*/2, &metrics_);
 }
 
 OffloadStats OffloadManager::stats() const {
@@ -154,60 +150,72 @@ void OffloadManager::insert_entry(const std::string& name, Entry entry) {
   LMO_CHECK_MSG(inserted, "duplicate tensor name: " + name);
 }
 
+void OffloadManager::build_stored_form(Entry& entry,
+                                       const tensor::Tensor& value, int bits) {
+  if (bits == 16) {
+    entry.plain = value.cast(tensor::DType::kF16);
+    entry.quantized = tensor::QuantizedTensor();
+    return;
+  }
+  telemetry::ScopedSpan span(telemetry::TraceRecorder::global(), "quantize",
+                             "offload");
+  const auto start = std::chrono::steady_clock::now();
+  entry.quantized =
+      tensor::quantize(value, tensor::QuantConfig{bits, group_size_});
+  quantize_seconds_->add(seconds_since(start));
+  entry.plain = tensor::Tensor();
+}
+
+void OffloadManager::move_to_disk_tier(Entry& entry,
+                                       store::BlockHandle handle) {
+  DiskMeta meta;
+  meta.handle = std::move(handle);
+  if (entry.quantized.defined()) {
+    const tensor::QuantizedTensor& q = entry.quantized;
+    meta.is_quantized = true;
+    meta.shape = q.original_shape();
+    meta.bits = q.bits();
+    meta.group_size = q.group_size();
+    meta.padded_numel = q.padded_numel();
+    meta.group_min = q.group_min();
+    meta.group_scale = q.group_scale();
+  } else {
+    meta.shape = entry.plain.shape();
+  }
+  entry.plain = tensor::Tensor();
+  entry.quantized = tensor::QuantizedTensor();
+  entry.charge = PoolCharge();  // releases any host-pool bytes
+  entry.disk = std::move(meta);
+  entry.tier = Tier::kDisk;
+}
+
 void OffloadManager::spill_value_to_disk(const std::string& name,
                                          Entry& entry,
                                          const tensor::Tensor& value) {
   LMO_CHECK_MSG(store_ != nullptr,
                 "disk tier for \"" + name + "\" requires attach_store()");
-  DiskMeta meta;
-  std::span<const std::byte> payload;
-  tensor::Tensor f16;
-  tensor::QuantizedTensor quantized;
-  if (quant_bits_ == 16) {
-    f16 = value.cast(tensor::DType::kF16);
-    meta.is_quantized = false;
-    meta.shape = value.shape();
-    payload = f16.raw();
-  } else {
-    telemetry::ScopedSpan span(telemetry::TraceRecorder::global(),
-                               "quantize", "offload");
-    const auto start = std::chrono::steady_clock::now();
-    quantized =
-        tensor::quantize(value, tensor::QuantConfig{quant_bits_, group_size_});
-    quantize_seconds_->add(seconds_since(start));
-    meta.is_quantized = true;
-    meta.shape = quantized.original_shape();
-    meta.bits = quantized.bits();
-    meta.group_size = quantized.group_size();
-    meta.padded_numel = quantized.padded_numel();
-    meta.group_min = quantized.group_min();
-    meta.group_scale = quantized.group_scale();
-    const std::vector<std::uint8_t>& bytes = quantized.payload();
-    payload = std::as_bytes(
-        std::span<const std::uint8_t>(bytes.data(), bytes.size()));
-  }
+  build_stored_form(entry, value, quant_bits_);
+  const std::span<const std::byte> payload =
+      stored_payload_bytes(entry.plain, entry.quantized);
   // Crash recovery: when a journaled store survived a kill with this exact
   // payload already committed under our key, adopt the surviving blocks
   // instead of rewriting them — the spill becomes free and the journal
   // stays compact. (Deterministic re-registration makes hits the common
   // case: the recovered process quantizes identical bytes.)
   const std::uint32_t payload_crc = util::crc32(payload);
+  store::BlockHandle handle;
   if (auto adopted = store_->adopt(name, payload_crc, payload.size())) {
-    meta.handle = *adopted;
+    handle = *adopted;
     metrics_.counter("recover.adopted.payloads").add();
   } else {
-    meta.handle = store_->put(payload, name);
+    handle = store_->put(payload, name);
   }
   // Fingerprint the *stored* payload: the store returns these exact bytes,
   // so the normal host→device arrival verification applies unchanged.
   if (integrity_ != nullptr && integrity_->enabled()) {
     integrity_->record(weights_region(name), payload_crc);
   }
-  entry.plain = tensor::Tensor();
-  entry.quantized = tensor::QuantizedTensor();
-  entry.charge = PoolCharge();
-  entry.disk = std::move(meta);
-  entry.tier = Tier::kDisk;
+  move_to_disk_tier(entry, std::move(handle));
 }
 
 void OffloadManager::register_tensor(const std::string& name,
@@ -260,19 +268,8 @@ void OffloadManager::register_tensor(const std::string& name,
   int bits = quant_bits_;
   for (;;) {
     try {
-      if (bits == 16) {
-        entry.plain = value.cast(tensor::DType::kF16);
-        entry.charge = PoolCharge(host_pool_, entry.plain.byte_size());
-      } else {
-        telemetry::ScopedSpan span(telemetry::TraceRecorder::global(),
-                                   "quantize", "offload");
-        const auto start = std::chrono::steady_clock::now();
-        entry.quantized =
-            tensor::quantize(value, tensor::QuantConfig{bits, group_size_});
-        quantize_seconds_->add(seconds_since(start));
-        entry.plain = tensor::Tensor();
-        entry.charge = PoolCharge(host_pool_, entry.quantized.byte_size());
-      }
+      build_stored_form(entry, value, bits);
+      entry.charge = PoolCharge(host_pool_, payload_bytes(entry));
       break;
     } catch (const util::ResourceExhausted&) {
       const int next = bits == 16 ? 8 : bits == 8 ? 4 : 0;
@@ -286,7 +283,6 @@ void OffloadManager::register_tensor(const std::string& name,
         // precision — spill it to the disk tier instead of throwing.
         degradations_->add();
         disk_spills_->add();
-        entry.quantized = tensor::QuantizedTensor();
         spill_value_to_disk(name, entry, value);
         insert_entry(name, std::move(entry));
         return;
@@ -332,14 +328,39 @@ std::size_t OffloadManager::payload_bytes(const Entry& entry) const {
                                    : entry.plain.byte_size();
 }
 
-tensor::Tensor OffloadManager::materialize(const Entry& entry) {
+tensor::Tensor OffloadManager::materialize(const Entry& entry,
+                                           const char* site) {
   // Host → device transfer of the stored payload. Entries are immutable
   // after registration, so this runs without the manager lock; stats are
   // updated by the caller under the lock.
-  if (entry.quantized.defined()) {
-    return tensor::dequantize(entry.quantized);
+  if (!entry.quantized.defined()) {
+    return entry.plain.cast(tensor::DType::kF32);
   }
-  return entry.plain.cast(tensor::DType::kF32);
+  const auto start = std::chrono::steady_clock::now();
+  telemetry::ScopedSpan dq_span(telemetry::TraceRecorder::global(),
+                                "dequantize", site);
+  tensor::Tensor value = tensor::dequantize(entry.quantized);
+  dequantize_seconds_->add(seconds_since(start));
+  return value;
+}
+
+OffloadManager::Entry OffloadManager::with_flipped_bit(const Entry& entry,
+                                                       std::int64_t bit) {
+  const auto byte = static_cast<std::size_t>(bit / 8);
+  const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+  Entry wire;
+  if (entry.quantized.defined()) {
+    const tensor::QuantizedTensor& q = entry.quantized;
+    std::vector<std::uint8_t> payload = q.payload();
+    payload[byte] ^= mask;
+    wire.quantized = tensor::QuantizedTensor::from_parts(
+        q.original_shape(), tensor::QuantConfig{q.bits(), q.group_size()},
+        q.padded_numel(), std::move(payload), q.group_min(), q.group_scale());
+  } else {
+    wire.plain = entry.plain.clone();
+    wire.plain.raw()[byte] ^= static_cast<std::byte>(mask);
+  }
+  return wire;
 }
 
 tensor::Tensor OffloadManager::transfer_with_retries(const Entry& entry,
@@ -374,10 +395,10 @@ tensor::Tensor OffloadManager::transfer_with_retries(const Entry& entry,
       }
     }
     // The payload has "arrived". Under chaos the wire may silently flip a
-    // bit; under an integrity policy the arrival is fingerprint-checked.
-    // Both off (the common case) falls through to the seed's exact path.
-    // The flip domain is the fingerprinted payload span — payload_bytes()
-    // also counts quantization metadata the wire copy does not carry.
+    // bit: the arrival is then a corrupted copy, realized only on this rare
+    // path. The flip domain is the fingerprinted payload span —
+    // payload_bytes() also counts quantization metadata the wire copy does
+    // not carry.
     const std::int64_t flip =
         injector.enabled()
             ? injector.corrupt_bit(
@@ -386,85 +407,32 @@ tensor::Tensor OffloadManager::transfer_with_retries(const Entry& entry,
                           stored_payload_bytes(entry.plain, entry.quantized)
                               .size()))
             : -1;
-    const bool check = integrity_ != nullptr && integrity_->enabled() &&
-                       integrity_->should_verify(weights_region(name));
-    if (check) {
-      // Verify the bytes as transferred (flipped copy when a flip fired,
-      // the pristine stored payload otherwise).
-      bool intact;
-      if (flip >= 0) {
-        // Realize the corrupted wire copy only on this rare path.
-        std::vector<std::uint8_t> wire;
-        if (entry.quantized.defined()) {
-          wire = entry.quantized.payload();
-        } else {
-          const auto raw = entry.plain.raw();
-          wire.resize(raw.size());
-          std::memcpy(wire.data(), raw.data(), raw.size());
-        }
-        wire[static_cast<std::size_t>(flip / 8)] ^=
-            static_cast<std::uint8_t>(1u << (flip % 8));
-        intact = integrity_->verify(
+    Entry flipped;
+    if (flip >= 0) flipped = with_flipped_bit(entry, flip);
+    const Entry& arrived = flip >= 0 ? flipped : entry;
+    // Under an integrity policy the arrival is fingerprint-checked. An
+    // unverified flip propagates silently, exactly like real bit rot under
+    // verify=off (or an unsampled load).
+    if (integrity_ != nullptr && integrity_->enabled() &&
+        integrity_->should_verify(weights_region(name)) &&
+        !integrity_->verify(
             weights_region(name),
-            std::as_bytes(std::span<const std::uint8_t>(wire.data(),
-                                                        wire.size())));
-      } else {
-        intact = integrity_->verify(
-            weights_region(name),
-            stored_payload_bytes(entry.plain, entry.quantized));
+            stored_payload_bytes(arrived.plain, arrived.quantized))) {
+      // Weights rung of the repair ladder: the stored entry is the
+      // pristine source, so a re-fetch (another trip around the loop)
+      // delivers clean bytes unless the injector corrupts again.
+      if (repairs++ >= integrity_->config().max_repair_attempts) {
+        integrity_->note_unrepairable();
+        throw util::DataCorruption(
+            "weight shard \"" + name + "\" failed verification after " +
+            std::to_string(repairs) + " re-fetch attempts at " + site);
       }
-      if (!intact) {
-        // Weights rung of the repair ladder: the stored entry is the
-        // pristine source, so a re-fetch (another trip around the loop)
-        // delivers clean bytes unless the injector corrupts again.
-        if (repairs++ >= integrity_->config().max_repair_attempts) {
-          integrity_->note_unrepairable();
-          throw util::DataCorruption(
-              "weight shard \"" + name + "\" failed verification after " +
-              std::to_string(repairs) + " re-fetch attempts at " + site);
-        }
-        integrity_->note_repair(integrity::RepairKind::kRefetch);
-        telemetry::ScopedSpan repair_span(telemetry::TraceRecorder::global(),
-                                          "repair.refetch", "integrity");
-        continue;
-      }
-    } else if (flip >= 0) {
-      // Unverified flip: the corruption must propagate silently, exactly
-      // like real bit rot under verify=off (or an unsampled load).
-      if (entry.quantized.defined()) {
-        std::vector<std::uint8_t> wire = entry.quantized.payload();
-        wire[static_cast<std::size_t>(flip / 8)] ^=
-            static_cast<std::uint8_t>(1u << (flip % 8));
-        tensor::QuantizedTensor corrupted = tensor::QuantizedTensor::from_parts(
-            entry.quantized.original_shape(),
-            tensor::QuantConfig{entry.quantized.bits(),
-                                entry.quantized.group_size()},
-            entry.quantized.padded_numel(), std::move(wire),
-            entry.quantized.group_min(), entry.quantized.group_scale());
-        const auto start = std::chrono::steady_clock::now();
-        telemetry::ScopedSpan dq_span(telemetry::TraceRecorder::global(),
-                                      "dequantize", site);
-        tensor::Tensor value = tensor::dequantize(corrupted);
-        dequantize_seconds_->add(seconds_since(start));
-        return value;
-      }
-      tensor::Tensor wire = entry.plain.clone();
-      const auto raw = wire.raw();
-      raw[static_cast<std::size_t>(flip / 8)] ^=
-          static_cast<std::byte>(1u << (flip % 8));
-      return wire.cast(tensor::DType::kF32);
+      integrity_->note_repair(integrity::RepairKind::kRefetch);
+      telemetry::ScopedSpan repair_span(telemetry::TraceRecorder::global(),
+                                        "repair.refetch", "integrity");
+      continue;
     }
-    const auto start = std::chrono::steady_clock::now();
-    tensor::Tensor value;
-    if (entry.quantized.defined()) {
-      telemetry::ScopedSpan dq_span(telemetry::TraceRecorder::global(),
-                                    "dequantize", site);
-      value = materialize(entry);
-      dequantize_seconds_->add(seconds_since(start));
-    } else {
-      value = materialize(entry);
-    }
-    return value;
+    return materialize(arrived, site);
   }
 }
 
@@ -473,12 +441,12 @@ tensor::Tensor OffloadManager::fetch_from_disk(const std::string& name,
                                                const char* site) {
   std::vector<std::byte> bytes;
   {
-    // The disk leg of the staging pipeline, the runtime analogue of the
-    // estimator's load_weight_disk task.
+    // The disk leg of load_weight, the runtime analogue of the estimator's
+    // load_weight_disk task. On the prefetch path it runs one layer ahead
+    // of compute, inside the same pool task as the host→device leg.
     telemetry::ScopedSpan span(telemetry::TraceRecorder::global(),
                                "load_weight_disk", site);
-    bytes = pipeline_ != nullptr ? pipeline_->fetch(name, meta.handle)
-                                 : store_->get(meta.handle);
+    bytes = store_->get(meta.handle);
   }
   disk_transfers_->add();
   bytes_disk_to_host_->add(static_cast<double>(bytes.size()));
@@ -550,26 +518,8 @@ std::size_t OffloadManager::demote_host_to_disk(std::size_t bytes_needed) {
       store_->release(handle);
       continue;
     }
-    DiskMeta meta;
-    if (entry->quantized.defined()) {
-      meta.is_quantized = true;
-      meta.shape = entry->quantized.original_shape();
-      meta.bits = entry->quantized.bits();
-      meta.group_size = entry->quantized.group_size();
-      meta.padded_numel = entry->quantized.padded_numel();
-      meta.group_min = entry->quantized.group_min();
-      meta.group_scale = entry->quantized.group_scale();
-    } else {
-      meta.is_quantized = false;
-      meta.shape = entry->plain.shape();
-    }
-    meta.handle = std::move(handle);
     const std::size_t released = entry->charge.bytes();
-    entry->plain = tensor::Tensor();
-    entry->quantized = tensor::QuantizedTensor();
-    entry->disk = std::move(meta);
-    entry->charge = PoolCharge();  // releases the host-pool bytes
-    entry->tier = Tier::kDisk;
+    move_to_disk_tier(*entry, std::move(handle));
     freed += released;
     disk_spills_->add();
     degradations_->add();
@@ -655,8 +605,6 @@ tensor::Tensor OffloadManager::fetch(const std::string& name) {
 
 std::future<void> OffloadManager::prefetch(const std::string& name,
                                            parallel::ThreadPool& pool) {
-  auto promise = std::make_shared<std::promise<void>>();
-  auto future = promise->get_future();
   // Claim the in-flight slot at submit time so a concurrent fetch() of the
   // same name waits for this load instead of duplicating the transfer.
   const Entry* entry = nullptr;
@@ -668,110 +616,84 @@ std::future<void> OffloadManager::prefetch(const std::string& name,
     entry = &it->second;
     if (entry->tier == Tier::kDevice || staged_.count(name) != 0 ||
         in_flight_.count(name) != 0) {
-      promise->set_value();
-      return future;
+      std::promise<void> done;
+      done.set_value();
+      return done.get_future();
     }
     it->second.last_use = use_clock_++;
     if (it->second.tier == Tier::kDisk) disk = *it->second.disk;
     in_flight_.insert(name);
     ++busy_[name];  // pin against demotion for the task's lifetime
   }
-  // Kick the disk→host read ahead of the H2D continuation: the store read
-  // runs on the pipeline while the pool thread is still busy, which is the
-  // double-buffering that hides the slow link.
-  if (disk.has_value() && pipeline_ != nullptr) {
-    pipeline_->prefetch(name, disk->handle);
-  }
-  const auto unpin_locked = [this](const std::string& n) {
-    auto b = busy_.find(n);
-    if (b != busy_.end() && --b->second == 0) busy_.erase(b);
-  };
-  pool.submit([this, name, entry, disk, promise, unpin_locked] {
+  return pool.submit([this, name, entry, disk] {
+    std::optional<tensor::Tensor> value;
+    std::exception_ptr violation;
     try {
-      tensor::Tensor value =
-          disk.has_value()
-              ? fetch_from_disk(name, *disk, kPrefetchSite)
-              : transfer_with_retries(*entry, name, kPrefetchSite);
-      const auto moved = static_cast<double>(
-          disk.has_value() ? disk->handle.bytes : payload_bytes(*entry));
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        // The payload moved over the bus whether or not anyone still wants
-        // it; account the traffic at transfer success, exactly once.
-        bytes_host_to_device_->add(moved);
-        host_transfers_->add();
-        if (abandoned_.erase(name) != 0) {
-          // A fetch timed out waiting for us and already recovered
-          // synchronously; drop the late result.
-          prefetch_discards_->add();
-        } else {
-          StagedEntry staged;
-          staged.value = std::move(value);
-          const std::size_t bytes = staged.value.byte_size();
-          bool charged = false;
-          try {
-            staged.charge = PoolCharge(device_pool_, bytes);
-            charged = true;
-          } catch (const util::ResourceExhausted&) {
-            // Staging buffers are reclaimable: evict and retry once.
-            staged_evictions_->add(evict_staged_locked());
-            try {
-              staged.charge = PoolCharge(device_pool_, bytes);
-              charged = true;
-            } catch (const util::ResourceExhausted&) {
-            }
-          }
-          if (charged) {
-            failed_.erase(name);
-            staged_.emplace(name, std::move(staged));
-          } else {
-            prefetch_failures_->add();
-            failed_.insert(name);  // next fetch falls back synchronously
-          }
-        }
-        in_flight_.erase(name);
-        unpin_locked(name);
-      }
-      staged_cv_.notify_all();
-      promise->set_value();
+      value = disk.has_value()
+                  ? fetch_from_disk(name, *disk, kPrefetchSite)
+                  : transfer_with_retries(*entry, name, kPrefetchSite);
     } catch (const util::DataCorruption&) {
       // Unrepairable arrival on the *prefetch* path still has a recovery
       // rung: the next fetch() transfers synchronously with its own repair
       // budget. Only a sync fetch's corruption propagates to the caller.
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (abandoned_.erase(name) == 0) failed_.insert(name);
-        prefetch_failures_->add();
-        in_flight_.erase(name);
-        unpin_locked(name);
-      }
-      staged_cv_.notify_all();
-      promise->set_value();
     } catch (const util::TransferError&) {
-      // Retry budget exhausted: recover by falling back, not by failing
-      // the pipeline — the next fetch() transfers synchronously.
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (abandoned_.erase(name) == 0) failed_.insert(name);
-        prefetch_failures_->add();
-        in_flight_.erase(name);
-        unpin_locked(name);
-      }
-      staged_cv_.notify_all();
-      promise->set_value();
+      // Retry budget exhausted (a StorageError from the disk leg included):
+      // recover by falling back, not by failing the load — the next
+      // fetch() transfers synchronously.
     } catch (...) {
       // Contract violations keep the seed's fail-fast semantics.
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        abandoned_.erase(name);
-        in_flight_.erase(name);
-        unpin_locked(name);
-      }
-      staged_cv_.notify_all();
-      promise->set_exception(std::current_exception());
+      violation = std::current_exception();
     }
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      // A fetch that timed out waiting for us already recovered
+      // synchronously; a late result is dropped.
+      const bool abandoned = abandoned_.erase(name) != 0;
+      bool failed = !value.has_value() && violation == nullptr;
+      if (value.has_value()) {
+        // The payload moved over the bus whether or not anyone still wants
+        // it; account the traffic at transfer success, exactly once.
+        bytes_host_to_device_->add(static_cast<double>(
+            disk.has_value() ? disk->handle.bytes : payload_bytes(*entry)));
+        host_transfers_->add();
+        if (abandoned) {
+          prefetch_discards_->add();
+        } else {
+          failed = !stage_locked(name, std::move(*value));
+        }
+      }
+      if (failed) {
+        prefetch_failures_->add();
+        if (!abandoned) failed_.insert(name);  // next fetch falls back
+      }
+      in_flight_.erase(name);
+      auto b = busy_.find(name);
+      if (b != busy_.end() && --b->second == 0) busy_.erase(b);
+    }
+    staged_cv_.notify_all();
+    if (violation) std::rethrow_exception(violation);
   });
-  return future;
+}
+
+bool OffloadManager::stage_locked(const std::string& name,
+                                  tensor::Tensor value) {
+  StagedEntry staged;
+  staged.value = std::move(value);
+  const std::size_t bytes = staged.value.byte_size();
+  try {
+    staged.charge = PoolCharge(device_pool_, bytes);
+  } catch (const util::ResourceExhausted&) {
+    // Staging buffers are reclaimable: evict and retry once.
+    staged_evictions_->add(evict_staged_locked());
+    try {
+      staged.charge = PoolCharge(device_pool_, bytes);
+    } catch (const util::ResourceExhausted&) {
+      return false;
+    }
+  }
+  failed_.erase(name);
+  staged_.emplace(name, std::move(staged));
+  return true;
 }
 
 }  // namespace lmo::runtime

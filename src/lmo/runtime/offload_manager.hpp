@@ -19,7 +19,6 @@
 #include <future>
 #include <iterator>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -28,7 +27,6 @@
 #include "lmo/parallel/threadpool.hpp"
 #include "lmo/runtime/mempool.hpp"
 #include "lmo/store/block_store.hpp"
-#include "lmo/store/staging_pipeline.hpp"
 #include "lmo/telemetry/metrics.hpp"
 #include "lmo/tensor/quantize.hpp"
 #include "lmo/tensor/tensor.hpp"
@@ -141,12 +139,12 @@ class OffloadManager {
   OffloadManager(MemoryPool& device_pool, MemoryPool& host_pool,
                  int quant_bits = 16, std::int64_t group_size = 64);
 
-  /// Attach the disk tier: a block store for spilled payloads plus an
-  /// optional thread pool for the async disk→host staging pipeline (null =
-  /// synchronous disk reads). Both are owned by the caller and must
-  /// outlive the manager; call before registering kDisk tensors or
-  /// enabling host→disk demotion.
-  void attach_store(store::BlockStore* store, parallel::ThreadPool* pool);
+  /// Attach the disk tier: a block store for spilled payloads, owned by
+  /// the caller and outliving the manager. Call before registering kDisk
+  /// tensors or enabling host→disk demotion. A disk shard's payload is
+  /// read inside its fetch or prefetch, so a prefetch one layer ahead
+  /// overlaps the disk read with compute too.
+  void attach_store(store::BlockStore* store);
 
   /// Register a tensor under `name` with home `tier`. Device-tier tensors
   /// stay in f32 (compute precision); host-tier tensors are stored fp16 or
@@ -248,7 +246,12 @@ class OffloadManager {
     PoolCharge charge;  ///< device-side staging buffer
   };
 
-  tensor::Tensor materialize(const Entry& entry);
+  /// Upcast or dequantize a stored payload to f32 (dequantization is
+  /// timed and traced under `site`).
+  tensor::Tensor materialize(const Entry& entry, const char* site);
+  /// A copy of the stored payload with bit `bit` flipped: the corrupted
+  /// wire copy of an injected bit flip.
+  static Entry with_flipped_bit(const Entry& entry, std::int64_t bit);
   /// One transfer with injected faults, bounded-backoff retries and stats
   /// accounting. Called without the manager lock. `name` keys the entry's
   /// integrity fingerprint: arrivals may be bit-flipped by the injector and
@@ -261,18 +264,29 @@ class OffloadManager {
   std::size_t payload_bytes(const Entry& entry) const;
   /// Drop every staging slot (ladder rung); returns freed charge count.
   std::size_t evict_staged_locked();
+  /// Park a prefetched value in a staging slot, charging the device pool
+  /// (evicting the other slots once if it is full). False when it still
+  /// does not fit.
+  bool stage_locked(const std::string& name, tensor::Tensor value);
   /// Insert the finished entry under the manager lock.
   void insert_entry(const std::string& name, Entry entry);
-  /// Quantize `value` per quant_bits_, write the payload to the store and
-  /// turn `entry` into a disk-tier entry (recording the integrity
-  /// fingerprint). Called without the manager lock.
+  /// Set `entry`'s stored form for `bits`: fp16 at 16, else the
+  /// group-wise quantized payload (timed and traced).
+  void build_stored_form(Entry& entry, const tensor::Tensor& value, int bits);
+  /// Turn a host-form `entry` into a disk-tier entry whose payload lives at
+  /// `handle`: keep its description as DiskMeta, drop the payload and the
+  /// host-pool charge.
+  static void move_to_disk_tier(Entry& entry, store::BlockHandle handle);
+  /// Build the stored form per quant_bits_, write the payload to the store
+  /// (or adopt a surviving keyed copy) and turn `entry` into a disk-tier
+  /// entry, recording the integrity fingerprint. Called without the
+  /// manager lock.
   void spill_value_to_disk(const std::string& name, Entry& entry,
                            const tensor::Tensor& value);
-  /// Stage a disk payload (pipeline when attached, else a synchronous
-  /// store read), rebuild the stored representation and run it through the
-  /// normal verified host→device transfer. Called without the manager
-  /// lock; disk metrics are counted here, host→device accounting stays
-  /// with the caller.
+  /// Read a disk payload from the store, rebuild the stored representation
+  /// and run it through the normal verified host→device transfer. Called
+  /// without the manager lock; disk metrics are counted here, host→device
+  /// accounting stays with the caller.
   tensor::Tensor fetch_from_disk(const std::string& name,
                                  const DiskMeta& meta, const char* site);
 
@@ -282,8 +296,7 @@ class OffloadManager {
   std::int64_t group_size_;
   RecoveryConfig recovery_;
   integrity::ChecksumRegistry* integrity_ = nullptr;
-  store::BlockStore* store_ = nullptr;              ///< disk tier; optional
-  std::unique_ptr<store::StagingPipeline> pipeline_;  ///< null = sync reads
+  store::BlockStore* store_ = nullptr;  ///< disk tier; optional
   std::uint64_t use_clock_ = 0;  ///< advances on fetch/prefetch (recency)
   std::map<std::string, Entry> entries_;
   std::map<std::string, StagedEntry> staged_;

@@ -84,6 +84,19 @@ TEST(Decisions, AttentionPlacementEvaluatesBothSidesBestQuant) {
   EXPECT_EQ(d.offload_to_cpu, d.cpu_seconds <= d.gpu_seconds);
 }
 
+TEST(Decisions, AttentionPlacementProbesTheGpuSideOfAHybridPlan) {
+  Policy base;
+  base.weights_on_gpu = 0.4;
+  base.hybrid_attention = true;
+  base.validate();  // a valid hybrid plan: CPU attention plus a GPU slice
+  AttentionPlacementDecision d;
+  EXPECT_NO_THROW(d = decide_attention_placement(
+                      ModelSpec::opt_30b(), paper_workload(), base,
+                      hw::Platform::a100_single()));
+  EXPECT_GT(d.gpu_seconds, 0.0);
+  EXPECT_EQ(d.offload_to_cpu, d.cpu_seconds <= d.gpu_seconds);
+}
+
 // ------------------------------------------------------------- LMOffload --
 
 TEST(LMOffload, PlanUsesQuantization) {

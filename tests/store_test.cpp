@@ -1,8 +1,9 @@
 // Tests for the disk spill tier (lmo/store): storage backends, the
-// block store's free list / capacity / bounded fault recovery, the async
-// staging pipeline, and the OffloadManager + Generator integration —
-// including the acceptance claim that a model which does not fit
-// device+host completes via disk spill with byte-identical tokens.
+// block store's free list / capacity / bounded fault recovery, and the
+// OffloadManager + Generator integration — the disk leg of fetch and of
+// the layer-ahead prefetch, and the acceptance claim that a model which
+// does not fit device+host completes via disk spill with byte-identical
+// tokens.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +21,6 @@
 #include "lmo/runtime/offload_manager.hpp"
 #include "lmo/kvshare/prefix_cache.hpp"
 #include "lmo/store/block_store.hpp"
-#include "lmo/store/staging_pipeline.hpp"
 #include "lmo/store/storage_backend.hpp"
 #include "lmo/telemetry/metrics.hpp"
 #include "lmo/util/fault.hpp"
@@ -40,7 +40,6 @@ using store::BlockHandle;
 using store::BlockStore;
 using store::FileBackend;
 using store::MemoryBackend;
-using store::StagingPipeline;
 using store::StoreConfig;
 
 std::vector<std::byte> random_payload(std::size_t bytes, std::uint64_t seed) {
@@ -288,106 +287,6 @@ TEST(BlockStore, DetectsOnDiskCorruption) {
   store.release(handle);
 }
 
-// ------------------------------------------------------- staging pipeline --
-
-TEST(StagingPipeline, PrefetchedFetchIsAHit) {
-  telemetry::MetricsRegistry metrics;
-  const auto config = small_config();
-  BlockStore store(std::make_unique<MemoryBackend>(config.block_bytes),
-                   config, &metrics);
-  parallel::ThreadPool pool(2);
-  StagingPipeline pipeline(&store, &pool, 2, &metrics);
-
-  const auto payload = random_payload(4096 * 2, 15);
-  BlockHandle handle = store.put(payload);
-  EXPECT_TRUE(pipeline.prefetch("w", handle));
-  pipeline.quiesce();
-  EXPECT_EQ(pipeline.fetch("w", handle), payload);
-  EXPECT_EQ(pipeline.staged(), 0u);  // fetch consumed the slot
-  EXPECT_EQ(counter(metrics, "store.prefetch.hits"), 1u);
-  EXPECT_EQ(counter(metrics, "store.prefetch.misses"), 0u);
-  store.release(handle);
-}
-
-TEST(StagingPipeline, UnprefetchedFetchFallsBackToSyncRead) {
-  telemetry::MetricsRegistry metrics;
-  const auto config = small_config();
-  BlockStore store(std::make_unique<MemoryBackend>(config.block_bytes),
-                   config, &metrics);
-  parallel::ThreadPool pool(1);
-  StagingPipeline pipeline(&store, &pool, 2, &metrics);
-  const auto payload = random_payload(4096, 16);
-  BlockHandle handle = store.put(payload);
-  EXPECT_EQ(pipeline.fetch("cold", handle), payload);
-  EXPECT_EQ(counter(metrics, "store.prefetch.misses"), 1u);
-  store.release(handle);
-}
-
-TEST(StagingPipeline, DropsPrefetchBeyondDepth) {
-  telemetry::MetricsRegistry metrics;
-  const auto config = small_config();
-  BlockStore store(std::make_unique<MemoryBackend>(config.block_bytes),
-                   config, &metrics);
-  parallel::ThreadPool pool(1);
-  StagingPipeline pipeline(&store, &pool, /*depth=*/1, &metrics);
-
-  const auto a = random_payload(4096, 17);
-  const auto b = random_payload(4096, 18);
-  BlockHandle ha = store.put(a);
-  BlockHandle hb = store.put(b);
-  EXPECT_TRUE(pipeline.prefetch("a", ha));
-  EXPECT_FALSE(pipeline.prefetch("b", hb));  // table full: dropped, not queued
-  EXPECT_TRUE(pipeline.prefetch("a", ha));   // idempotent for in-flight key
-  EXPECT_EQ(counter(metrics, "store.prefetch.drops"), 1u);
-  // The dropped key still fetches correctly (sync miss path).
-  EXPECT_EQ(pipeline.fetch("b", hb), b);
-  EXPECT_EQ(pipeline.fetch("a", ha), a);
-  store.release(ha);
-  store.release(hb);
-}
-
-TEST(StagingPipeline, FetchStealsQueuedSlotFromBusyPool) {
-  telemetry::MetricsRegistry metrics;
-  const auto config = small_config();
-  BlockStore store(std::make_unique<MemoryBackend>(config.block_bytes),
-                   config, &metrics);
-  parallel::ThreadPool pool(1);
-  StagingPipeline pipeline(&store, &pool, 2, &metrics);
-
-  const auto payload = random_payload(4096, 19);
-  BlockHandle handle = store.put(payload);
-
-  // Wedge the only worker so the prefetch's read task cannot start: the
-  // slot stays kQueued and the fetch must steal it (read synchronously).
-  std::promise<void> gate;
-  auto blocker = pool.submit([&] { gate.get_future().wait(); });
-  EXPECT_TRUE(pipeline.prefetch("w", handle));
-  EXPECT_EQ(pipeline.fetch("w", handle), payload);
-  EXPECT_EQ(counter(metrics, "store.prefetch.steals"), 1u);
-  gate.set_value();
-  blocker.wait();
-  pipeline.quiesce();  // the orphaned task must exit cleanly
-  store.release(handle);
-}
-
-TEST(StagingPipeline, DiscardDropsStagedBytes) {
-  telemetry::MetricsRegistry metrics;
-  const auto config = small_config();
-  BlockStore store(std::make_unique<MemoryBackend>(config.block_bytes),
-                   config, &metrics);
-  parallel::ThreadPool pool(1);
-  StagingPipeline pipeline(&store, &pool, 2, &metrics);
-  const auto payload = random_payload(4096, 20);
-  BlockHandle handle = store.put(payload);
-  EXPECT_TRUE(pipeline.prefetch("w", handle));
-  pipeline.discard("w");
-  EXPECT_EQ(pipeline.staged(), 0u);
-  // Post-discard fetch is a plain miss and still returns fresh bytes.
-  EXPECT_EQ(pipeline.fetch("w", handle), payload);
-  EXPECT_EQ(counter(metrics, "store.prefetch.misses"), 1u);
-  store.release(handle);
-}
-
 // -------------------------------------------------------- manager + store --
 
 struct ManagerFixture {
@@ -418,7 +317,7 @@ bool same_floats(const tensor::Tensor& a, const tensor::Tensor& b) {
 
 TEST(OffloadManagerDisk, DiskTierMatchesHostTierBitExactly) {
   ManagerFixture disk;
-  disk.manager.attach_store(&disk.store, nullptr);
+  disk.manager.attach_store(&disk.store);
   ManagerFixture host;
 
   const auto value = test_tensor(21);
@@ -440,7 +339,7 @@ TEST(OffloadManagerDisk, DiskTierMatchesHostTierBitExactly) {
 TEST(OffloadManagerDisk, PrefetchStagesDiskTensors) {
   ManagerFixture fixture;
   parallel::ThreadPool pool(2);
-  fixture.manager.attach_store(&fixture.store, &pool);
+  fixture.manager.attach_store(&fixture.store);
 
   const auto value = test_tensor(22);
   fixture.manager.register_tensor("w", value, Tier::kDisk);
@@ -451,11 +350,45 @@ TEST(OffloadManagerDisk, PrefetchStagesDiskTensors) {
   reference.manager.register_tensor("w", value, Tier::kHost);
   EXPECT_TRUE(same_floats(fetched, reference.manager.fetch("w")));
   EXPECT_EQ(fixture.manager.stats().staging_hits, 1u);
+  // The prefetch task did the one disk read; the fetch consumed its result.
+  EXPECT_EQ(fixture.manager.stats().disk_transfers, 1u);
+}
+
+TEST(OffloadManagerDisk, PrefetchReadErrorFallsBackToSyncFetch) {
+  ManagerFixture fixture;
+  parallel::ThreadPool pool(1);
+  fixture.manager.attach_store(&fixture.store);
+  const auto value = test_tensor(25);
+  fixture.manager.register_tensor("w", value, Tier::kDisk);
+
+  // Every read attempt of the prefetch task's disk leg fails, exhausting
+  // the store's read budget; the budget of injected failures ends there, so
+  // the fetch that follows reads the payload cleanly.
+  util::ScopedFaultInjection chaos(1);
+  util::FaultSpec spec;
+  spec.read_error_probability = 1.0;
+  spec.max_failures = fixture.store.config().max_read_attempts;
+  chaos.arm(BlockStore::kReadSite, spec);
+
+  fixture.manager.prefetch("w", pool).get();  // completes normally
+  const auto fetched = fixture.manager.fetch("w");
+
+  ManagerFixture reference;
+  reference.manager.register_tensor("w", value, Tier::kHost);
+  EXPECT_TRUE(same_floats(fetched, reference.manager.fetch("w")));
+  const auto stats = fixture.manager.stats();
+  EXPECT_EQ(stats.prefetch_failures, 1u);
+  EXPECT_EQ(stats.sync_fallbacks, 1u);
+  EXPECT_EQ(stats.staging_hits, 0u);
+  EXPECT_EQ(stats.disk_transfers, 1u);  // only the fetch's read succeeded
+  EXPECT_EQ(
+      chaos.count(BlockStore::kReadSite, util::FaultKind::kReadError),
+      static_cast<std::uint64_t>(fixture.store.config().max_read_attempts));
 }
 
 TEST(OffloadManagerDisk, DemotionPreservesPayloadBitExactly) {
   ManagerFixture fixture;
-  fixture.manager.attach_store(&fixture.store, nullptr);
+  fixture.manager.attach_store(&fixture.store);
   const auto value = test_tensor(23);
   fixture.manager.register_tensor("w", value, Tier::kHost);
   const auto before = fixture.manager.fetch("w");
@@ -495,7 +428,7 @@ TEST(OffloadManagerDisk, ReliefCallbackOrderingEvictsPrefixCacheFirst) {
   OffloadManager manager(device, host, 16, 16);
   BlockStore store(std::make_unique<MemoryBackend>(4096), small_config(4096),
                    &manager.metrics());
-  manager.attach_store(&store, nullptr);
+  manager.attach_store(&store);
 
   // Citizen 2: weight demotion, registered after the cache.
   const int relief_id = host.add_pressure_callback(
