@@ -352,6 +352,41 @@ void KVCache::set_integrity(integrity::ChecksumRegistry* registry,
   region_ = std::move(region);
 }
 
+void KVRowFormat::decode(std::span<const std::byte* const> rows,
+                         std::int64_t begin, std::int64_t width,
+                         float* out) const {
+  const std::int64_t end = begin + width;
+  LMO_CHECK_GE(begin, 0);
+  LMO_CHECK_GE(width, 0);
+  if (!quantized()) {
+    LMO_CHECK_LE(end * static_cast<std::int64_t>(sizeof(float)),
+                 static_cast<std::int64_t>(payload_bytes));
+    for (const std::byte* row : rows) {
+      std::memcpy(out, reinterpret_cast<const float*>(row) + begin,
+                  static_cast<std::size_t>(width) * sizeof(float));
+      out += width;
+    }
+    return;
+  }
+  LMO_CHECK_LE(end, groups * group_size);
+  if (width == 0) return;
+  const std::int64_t first = begin / group_size;
+  const std::int64_t last = (end - 1) / group_size;
+  for (const std::byte* row : rows) {
+    // Mins, then scales, then the codes (KVCache::payload_of).
+    const auto* meta = reinterpret_cast<const float*>(row);
+    const auto* codes =
+        reinterpret_cast<const std::uint8_t*>(meta + 2 * groups);
+    for (std::int64_t g = first; g <= last; ++g) {
+      const std::int64_t lo = std::max(begin, g * group_size);
+      const std::int64_t hi = std::min(end, (g + 1) * group_size);
+      tensor::dequantize_group(codes, bits, lo, hi, meta[groups + g], meta[g],
+                               out);
+      out += hi - lo;
+    }
+  }
+}
+
 tensor::Tensor KVCache::copy_plane(KVPlane plane) const {
   KVRowView view;
   read_rows(plane, view);
@@ -359,10 +394,9 @@ tensor::Tensor KVCache::copy_plane(KVPlane plane) const {
   tensor::Tensor out = tensor::Tensor::zeros(
       {static_cast<std::int64_t>(view.rows.size()), h});
   float* dst = out.f32().data();
-  for (std::size_t i = 0; i < view.rows.size(); ++i) {
-    std::memcpy(dst + static_cast<std::int64_t>(i) * h, view.rows[i],
-                static_cast<std::size_t>(h) * sizeof(float));
-  }
+  const auto start = std::chrono::steady_clock::now();
+  view.format.decode(view.rows, 0, h, dst);
+  if (view.format.quantized()) dequantize_seconds_ += seconds_since(start);
   return out;
 }
 
@@ -373,22 +407,12 @@ void KVCache::read_rows(KVPlane plane, KVRowView& view) const {
   const bool inject = checks_ == RowChecks::kOn && injector.enabled();
   const bool check =
       integrity_ != nullptr && integrity_->enabled() && !crcs.empty();
-  const bool quantized = pool_->bits() != 16;
-  const std::int64_t hidden = pool_->hidden();
-  const std::int64_t groups = pool_->row_groups();
   const std::size_t payload_bytes = pool_->row_payload_bytes();
-  const std::size_t n = static_cast<std::size_t>(length());
-  view.rows.resize(n);
-  // Row i decodes into scratch slot i, so earlier pointers stay valid.
-  if (quantized || inject) {
-    view.scratch.resize(n * static_cast<std::size_t>(hidden));
-  }
-  const auto slot = [&](std::size_t i) {
-    return view.scratch.data() + i * static_cast<std::size_t>(hidden);
-  };
+  view.format = pool_->row_format();
+  view.rows.resize(static_cast<std::size_t>(length()));
+  view.wire.clear();
   const std::int64_t bt = pool_->block_tokens();
   const std::size_t row_bytes = pool_->row_bytes();
-  std::vector<std::byte> wire;
   std::size_t i = 0;
   for (std::int64_t t = first_; t < appended_;) {
     // A block's rows of one plane are contiguous.
@@ -404,17 +428,17 @@ void KVCache::read_rows(KVPlane plane, KVRowView& view) const {
         const std::int64_t flip =
             injector.corrupt_bit(kKvFlipSite, 8 * payload_bytes);
         if (flip >= 0) {
-          wire.assign(row, row + row_bytes);
+          const std::size_t copy = view.wire.size();
+          view.wire.insert(view.wire.end(), row, row + row_bytes);
+          row = view.wire.data() + copy;
           const auto at = static_cast<std::size_t>(payload_of(row) - row) +
                           static_cast<std::size_t>(flip / 8);
-          wire[at] ^= static_cast<std::byte>(1u << (flip % 8));
-          row = wire.data();
+          view.wire[copy + at] ^= static_cast<std::byte>(1u << (flip % 8));
         }
       }
-      const std::byte* payload = payload_of(row);
       if (check &&
           integrity_->config().should_verify(static_cast<std::uint64_t>(t)) &&
-          !integrity_->verify_value(std::span(payload, payload_bytes),
+          !integrity_->verify_value(std::span(payload_of(row), payload_bytes),
                                     crcs[static_cast<std::size_t>(t)])) {
         // The stored row itself may be rot (not just the wire copy), so
         // re-reading cannot repair it; the Generator recomputes the cache
@@ -423,24 +447,17 @@ void KVCache::read_rows(KVPlane plane, KVRowView& view) const {
                                    (region_.empty() ? "<unnamed>" : region_) +
                                    " failed verification");
       }
-      if (quantized) {
-        const auto start = std::chrono::steady_clock::now();
-        const auto* meta = reinterpret_cast<const float*>(row);
-        const auto g = static_cast<std::size_t>(groups);
-        tensor::dequantize_into(
-            std::span(reinterpret_cast<const std::uint8_t*>(payload),
-                      payload_bytes),
-            std::span(meta, g), std::span(meta + g, g), pool_->bits(),
-            pool_->group_size(),
-            std::span(slot(i), static_cast<std::size_t>(hidden)));
-        dequantize_seconds_ += seconds_since(start);
-        view.rows[i] = slot(i);
-      } else if (row != stored) {
-        std::memcpy(slot(i), row, payload_bytes);  // the flipped wire copy
-        view.rows[i] = slot(i);
-      } else {
-        view.rows[i] = reinterpret_cast<const float*>(row);  // in place
-      }
+      // A wire copy's address moves while later copies are appended; it
+      // is pointed at once the read is done.
+      view.rows[i] = row == stored ? stored : nullptr;
+    }
+  }
+  if (view.wire.empty()) return;
+  const std::byte* copy = view.wire.data();
+  for (const std::byte*& row : view.rows) {
+    if (row == nullptr) {
+      row = copy;
+      copy += row_bytes;
     }
   }
 }

@@ -10,9 +10,10 @@
 // still references copies it first, a sliding window drops a block once
 // all of its rows have left the window, and the cross-request prefix cache
 // (kvshare::PrefixCache) keeps cached prefixes as references on the blocks
-// of the sequence that computed them. Reads hand attention one f32 row
-// pointer per visible token: f32 rows in place, quantized rows decoded
-// into caller-owned scratch. Compute never runs on packed payloads.
+// of the sequence that computed them. Reads hand attention one stored-row
+// pointer per visible token plus the row format; attention reads f32 rows
+// in place and decodes the head slice of a quantized row it needs into
+// scratch of its own compute lane. No read decodes a whole context.
 #pragma once
 
 #include <cstdint>
@@ -35,14 +36,33 @@ namespace lmo::runtime {
 /// Which half of a KV cache a read covers.
 enum class KVPlane : std::uint8_t { kKeys, kValues };
 
-/// One plane of a KV cache as one row pointer per visible token, oldest
-/// first. The caller owns the view and reuses it across reads, so the
-/// scratch that decoded rows land in is allocated once. Pointers stay valid
-/// until the next read into the same view or the next mutation of the
-/// cache.
+/// How a KV row is stored: f32 (bits 16), or group-quantized as the
+/// tensor::quantize codes behind their per-group mins and scales.
+struct KVRowFormat {
+  int bits = 16;
+  std::int64_t group_size = 0;
+  std::int64_t groups = 0;  ///< quantization groups per row (0 for f32)
+  std::size_t payload_bytes = 0;  ///< f32 row, or the packed codes
+
+  bool quantized() const { return bits != 16; }
+  /// Elements [begin, begin + width) of each stored row in `rows` as f32,
+  /// row after row into out[rows.size() · width]: copied from f32 rows,
+  /// decoded (Eq. 11) from quantized ones. The range is checked once, not
+  /// per row.
+  void decode(std::span<const std::byte* const> rows, std::int64_t begin,
+              std::int64_t width, float* out) const;
+};
+
+/// One plane of a KV cache as one stored-row pointer per visible token,
+/// oldest first. The caller owns the view and reuses it across reads.
+/// Pointers stay valid until the next read into the same view or the next
+/// mutation of the cache.
 struct KVRowView {
-  std::vector<const float*> rows;
-  std::vector<float> scratch;
+  std::vector<const std::byte*> rows;
+  KVRowFormat format;
+  /// Copies of rows fault injection flipped in flight (rows point into it
+  /// for them); empty on a clean read.
+  std::vector<std::byte> wire;
 };
 
 /// Which rows attention sees. The value is the checkpoint fingerprint's
@@ -104,6 +124,9 @@ class KVBlockPool {
   std::size_t row_bytes() const { return row_bytes_; }
   /// Quantization groups per row (0 for f32 rows).
   std::int64_t row_groups() const { return row_groups_; }
+  KVRowFormat row_format() const {
+    return {config_.bits, config_.group_size, row_groups_, payload_bytes_};
+  }
   /// The bytes of a row a fingerprint covers and a bit flip may hit: the
   /// whole f32 row, or a quantized row's packed codes.
   std::size_t row_payload_bytes() const { return payload_bytes_; }
@@ -192,11 +215,11 @@ class KVCache {
   int bits() const { return pool_->bits(); }
   KVBlockPool& pool() const { return *pool_; }
 
-  /// Point `view.rows` at `plane`'s length() rows, oldest first. f32 rows
-  /// are read in place; rows that need decoding (quantized at rest, or
-  /// flipped in flight by fault injection) are decoded into
-  /// `view.scratch`. With an integrity registry attached, rows are verified
-  /// here and a mismatch throws util::DataCorruption.
+  /// Point `view.rows` at `plane`'s length() stored rows, oldest first,
+  /// and set `view.format`. Nothing is decoded or copied, except a row
+  /// flipped in flight by fault injection, which is read from its copy in
+  /// `view.wire`. With an integrity registry attached, rows are verified
+  /// here, in row order, and a mismatch throws util::DataCorruption.
   void read_rows(KVPlane plane, KVRowView& view) const;
   /// The stored bytes of visible row `index` (0 = oldest visible).
   std::span<const std::byte> stored_row(KVPlane plane,
@@ -216,8 +239,8 @@ class KVCache {
   KVCache clone() const;
 
   /// Copies of the K (or V) plane as a [length, hidden] matrix, built on
-  /// read_rows (same verification) — for tests; the attention scan reads
-  /// rows in place instead.
+  /// read_rows (same verification) and KVRowFormat::decode — for tests;
+  /// attention reads rows in place and decodes only head slices.
   tensor::Tensor keys() const { return copy_plane(KVPlane::kKeys); }
   tensor::Tensor values() const { return copy_plane(KVPlane::kValues); }
 
@@ -227,9 +250,16 @@ class KVCache {
   /// Bytes of the blocks only this cache references.
   std::size_t private_bytes() const;
 
-  /// Cumulative time spent (de)quantizing rows, seconds.
+  /// Cumulative time spent (de)quantizing rows, seconds: quantizing in
+  /// append, decoding in keys()/values() and, as reported through
+  /// add_dequantize_seconds, in attention.
   double quantize_seconds() const { return quantize_seconds_; }
   double dequantize_seconds() const { return dequantize_seconds_; }
+  /// Credit time spent decoding this cache's rows outside it (attention
+  /// decodes head slices on the compute lanes and folds their time here).
+  void add_dequantize_seconds(double seconds) {
+    dequantize_seconds_ += seconds;
+  }
 
   /// Attach the integrity layer (owned by the caller; may be null). Each
   /// appended row's payload is fingerprinted; read_rows() re-checks rows

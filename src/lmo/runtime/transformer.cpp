@@ -1,6 +1,7 @@
 #include "lmo/runtime/transformer.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <iterator>
@@ -33,14 +34,13 @@ constexpr const char* kLayerWeights[] = {
     "wq", "wk", "wv", "wo", "w1", "w2",
     "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta"};
 
-// Fork-join work floors. Below them, waking the compute lanes costs more
-// than the split saves: a decode step's 8-row GEMMs (6–20 µs) and its
-// single-query attention stay on the calling thread, while prefill's
-// 64-row GEMMs, its causal attention and every GELU/SiLU over a decode
-// group's MLP rows split.
+// Fork-join work floors (and Transformer::kAttentionSplitWork). Below
+// them, waking the compute lanes costs more than the split saves: a
+// decode step's 8-row GEMMs (6–20 µs) and a short decode group's attention
+// stay on the calling thread, while prefill's 64-row GEMMs, its causal
+// attention, a decode group's attention over a few hundred visible rows
+// and every GELU/SiLU over a decode group's MLP rows split.
 constexpr std::int64_t kGemmSplitWork = std::int64_t{1} << 20;  // m·k·n
-constexpr std::int64_t kAttentionSplitWork =
-    std::int64_t{1} << 16;  // t_new·visible·hidden
 constexpr std::int64_t kActivationSplitElems = std::int64_t{1} << 12;
 constexpr std::int64_t kPanelCols = 8;  // GEMM column split granularity
 
@@ -220,46 +220,81 @@ void Transformer::activate(Tensor& x, int lanes) {
       lanes);
 }
 
-void Transformer::attention(const float* q, std::int64_t t_new,
-                            const KVCache& cache, KVViews& views, float* out,
+void Transformer::attention(const float* q, const RowGroup& group,
+                            const std::vector<KVViews>& views, float* out,
                             int lanes) {
   const std::int64_t h = spec_.hidden;
   const std::int64_t heads = spec_.num_heads;
   const std::int64_t hd = spec_.head_dim();
+  const std::size_t members = group.rows.size();
 
-  {
-    const auto span = task_span("load_cache");
-    cache.read_rows(KVPlane::kKeys, views.k);  // prior + t_new rows
-    cache.read_rows(KVPlane::kValues, views.v);
+  std::int64_t work = 0;
+  std::int64_t max_total = 0;
+  bool quantized = false;
+  for (std::size_t m = 0; m < members; ++m) {
+    const auto total = static_cast<std::int64_t>(views[m].k.rows.size());
+    work += group.rows[m] * total * h;
+    max_total = std::max(max_total, total);
+    quantized = quantized || views[m].k.format.quantized();
   }
-  const std::int64_t total = static_cast<std::int64_t>(views.k.rows.size());
-  const float* const* krows = views.k.rows.data();
-  const float* const* vrows = views.v.rows.data();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-  for (LaneScratch& lane : lanes_) {
-    if (lane.scores.size() < static_cast<std::size_t>(total)) {
-      lane.scores.resize(static_cast<std::size_t>(total));
+  const bool split = lanes > 1 && work >= kAttentionSplitWork;
+  // Tasks of (sequence, head, query-row block): a prefill sequence's rows
+  // split in blocks, at least two tasks per lane where its rows allow, so
+  // lanes stay busy when heads do not divide evenly; a decode sequence's
+  // one row makes one task per head.
+  tasks_.clear();
+  std::int64_t row0 = 0;
+  for (std::size_t m = 0; m < members; ++m) {
+    const std::int64_t t_new = group.rows[m];
+    const std::int64_t blocks =
+        split ? std::min<std::int64_t>(
+                    t_new, std::max<std::int64_t>(
+                               1, (2 * lanes + heads - 1) / heads))
+              : 1;
+    for (std::int64_t head = 0; head < heads; ++head) {
+      for (std::int64_t b = 0; b < blocks; ++b) {
+        tasks_.push_back({m, row0, head, t_new * b / blocks,
+                          t_new * (b + 1) / blocks});
+      }
     }
+    row0 += t_new;
   }
+  // Decoded head slices: at most 2 · visible · head_dim floats a lane.
+  const auto rows = static_cast<std::size_t>(max_total);
+  const std::size_t slices = quantized ? rows * static_cast<std::size_t>(hd)
+                                       : 0;
+  for (LaneScratch& lane : lanes_) {
+    if (lane.scores.size() < rows) lane.scores.resize(rows);
+    if (lane.k.size() < slices) {
+      lane.k.resize(slices);
+      lane.v.resize(slices);
+    }
+    lane.dequantize_s.assign(members, 0.0);
+  }
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
 
   // Query rows [begin, end) of one head: scores = q_h · K_hᵀ · scale with
-  // causal masking, softmax, context = scores · V_h. Every (head, row) is
-  // independent and writes its own output, so any split across lanes is
-  // bit-identical to the serial order.
-  const auto rows_of_head = [&](std::int64_t head, std::int64_t begin,
-                                std::int64_t end, float* scores) {
-    const std::int64_t off = head * hd;
-    for (std::int64_t i = begin; i < end; ++i) {
+  // causal masking, softmax, context = scores · V_h. `key(j)` and
+  // `value(j)` are row j's head slice. Every (head, row) is independent
+  // and writes its own output, so any split across lanes is bit-identical
+  // to the serial order.
+  const auto rows_of_head = [&](const AttentionTask& task, std::int64_t total,
+                                float* scores, auto key, auto value) {
+    const std::int64_t t_new = group.rows[task.member];
+    const std::int64_t off = task.head * hd;
+    const float* qm = q + task.row0 * h;
+    float* om = out + task.row0 * h;
+    for (std::int64_t i = task.begin; i < task.end; ++i) {
       // Causal horizon in the cache's visible rows: everything up to and
       // including token i's own row (the last t_new rows are the new
       // tokens). Equivalent to prior+i+1 for exact caches, and correct
       // under a sliding window, where total < prior + t_new.
       const std::int64_t visible = total - (t_new - 1 - i);
       if (visible <= 0) continue;  // fully evicted context (tiny window)
-      const float* qrow = q + i * h + off;
+      const float* qrow = qm + i * h + off;
       float mx = -1e30f;
       for (std::int64_t j = 0; j < visible; ++j) {
-        const float* krow = krows[j] + off;
+        const float* krow = key(j);
         float dot = 0.0f;
         for (std::int64_t d = 0; d < hd; ++d) dot += qrow[d] * krow[d];
         scores[j] = dot * scale;
@@ -271,42 +306,68 @@ void Transformer::attention(const float* q, std::int64_t t_new,
         sum += scores[j];
       }
       const float inv = 1.0f / sum;
-      float* orow = out + i * h + off;
+      float* orow = om + i * h + off;
       for (std::int64_t j = 0; j < visible; ++j) {
-        add_scaled_row(orow, vrows[j] + off, scores[j] * inv, hd);
+        add_scaled_row(orow, value(j), scores[j] * inv, hd);
       }
     }
   };
+  const auto run = [&](std::int64_t index, int lane_index) {
+    const AttentionTask& task = tasks_[static_cast<std::size_t>(index)];
+    LaneScratch& lane = lanes_[static_cast<std::size_t>(lane_index)];
+    const KVViews& kv = views[task.member];
+    const auto total = static_cast<std::int64_t>(kv.k.rows.size());
+    const std::int64_t off = task.head * hd;
+    if (!kv.k.format.quantized()) {
+      rows_of_head(
+          task, total, lane.scores.data(),
+          [&](std::int64_t j) {
+            return reinterpret_cast<const float*>(kv.k.rows[j]) + off;
+          },
+          [&](std::int64_t j) {
+            return reinterpret_cast<const float*>(kv.v.rows[j]) + off;
+          });
+      return;
+    }
+    // Decode this head's slice of the rows the task's last query row sees,
+    // timed once for the whole task.
+    const std::int64_t horizon =
+        std::max<std::int64_t>(0, total - group.rows[task.member] + task.end);
+    const auto start = std::chrono::steady_clock::now();
+    const auto seen = static_cast<std::size_t>(horizon);
+    kv.k.format.decode(std::span(kv.k.rows).first(seen), off, hd,
+                       lane.k.data());
+    kv.v.format.decode(std::span(kv.v.rows).first(seen), off, hd,
+                       lane.v.data());
+    lane.dequantize_s[task.member] +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
+    rows_of_head(
+        task, total, lane.scores.data(),
+        [&](std::int64_t j) { return lane.k.data() + j * hd; },
+        [&](std::int64_t j) { return lane.v.data() + j * hd; });
+  };
 
   const auto span = task_span("compute");
-  if (lanes <= 1 || t_new * total * h < kAttentionSplitWork) {
-    for (std::int64_t head = 0; head < heads; ++head) {
-      rows_of_head(head, 0, t_new, lanes_[0].scores.data());
-    }
+  const auto n = static_cast<std::int64_t>(tasks_.size());
+  if (!split) {
+    for (std::int64_t i = 0; i < n; ++i) run(i, 0);
     return;
   }
-  // Chunks of (head, query-row block): at least two per lane where the
-  // rows allow, so lanes stay busy when heads do not divide evenly.
-  const std::int64_t blocks = std::min<std::int64_t>(
-      t_new, std::max<std::int64_t>(1, (2 * lanes + heads - 1) / heads));
-  compute_pool_->parallel_for(
-      heads * blocks,
-      [&](std::int64_t chunk, int lane) {
-        const std::int64_t head = chunk / blocks;
-        const std::int64_t block = chunk % blocks;
-        rows_of_head(head, t_new * block / blocks,
-                     t_new * (block + 1) / blocks,
-                     lanes_[static_cast<std::size_t>(lane)].scores.data());
-      },
-      lanes);
+  compute_pool_->parallel_for(n, run, lanes);
 }
 
 void Transformer::layer_forward(const LayerWeights& w, std::int64_t layer,
                                 RowGroup& group,
                                 std::vector<SequenceCache*>& caches,
-                                KVViews& views, int lanes) {
+                                std::vector<KVViews>& views, int lanes) {
   const std::int64_t h = spec_.hidden;
   const std::int64_t rows = group.x.shape()[0];
+  const std::size_t members = group.rows.size();
+  const auto cache_of = [&](std::size_t m) -> KVCache& {
+    return (*caches[group.first + m])[static_cast<std::size_t>(layer)];
+  };
 
   // Pre-LN attention block. q/k/v are scoped to it so they are freed
   // before the MLP allocates its [rows, mlp_hidden] buffers.
@@ -322,19 +383,20 @@ void Transformer::layer_forward(const LayerWeights& w, std::int64_t layer,
       k = matmul(normed1, w.wk, lanes);
       v = matmul(normed1, w.wv, lanes);
     }
-    // Cache append and attention per sequence, in batch order, on this
-    // thread; only the attention math fans out.
+    // Cache append and read per sequence, in batch order, on this thread
+    // (fault draws and verification keep their order); then the group's
+    // attention fans out.
     const std::span<const float> krows = std::as_const(k).f32();
     const std::span<const float> vrows = std::as_const(v).f32();
     const auto row = [h](std::span<const float> m, std::int64_t i) {
       return m.subspan(static_cast<std::size_t>(i * h),
                        static_cast<std::size_t>(h));
     };
+    if (views.size() < members) views.resize(members);
     std::int64_t row0 = 0;
-    for (std::size_t m = 0; m < group.rows.size(); ++m) {
+    for (std::size_t m = 0; m < members; ++m) {
       const std::int64_t t_new = group.rows[m];
-      KVCache& cache =
-          (*caches[group.first + m])[static_cast<std::size_t>(layer)];
+      KVCache& cache = cache_of(m);
       {
         // Appended quantized at rest if enabled.
         const auto span = task_span("store_cache");
@@ -342,9 +404,19 @@ void Transformer::layer_forward(const LayerWeights& w, std::int64_t layer,
           cache.append(row(krows, i), row(vrows, i));
         }
       }
-      attention(std::as_const(q).f32().data() + row0 * h, t_new, cache,
-                views, attn.f32().data() + row0 * h, lanes);
+      {
+        const auto span = task_span("load_cache");
+        cache.read_rows(KVPlane::kKeys, views[m].k);  // prior + t_new rows
+        cache.read_rows(KVPlane::kValues, views[m].v);
+      }
       row0 += t_new;
+    }
+    attention(std::as_const(q).f32().data(), group, views,
+              attn.f32().data(), lanes);
+    for (std::size_t m = 0; m < members; ++m) {
+      double seconds = 0.0;
+      for (const LaneScratch& lane : lanes_) seconds += lane.dequantize_s[m];
+      if (seconds > 0.0) cache_of(m).add_dequantize_seconds(seconds);
     }
   }
 
@@ -397,7 +469,7 @@ void Transformer::forward(std::vector<Tensor>& states,
     }
   }
 
-  KVViews views;
+  std::vector<KVViews> views;
   const int lanes = prepare_lanes();
   for (std::int64_t layer = 0; layer < spec_.num_layers; ++layer) {
     if (prefetch != nullptr) {

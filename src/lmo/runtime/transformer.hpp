@@ -7,14 +7,15 @@
 // sequence in the batch — the same amortization the zig-zag block schedule
 // exploits — and consecutive sequences are stacked into row groups so each
 // weight is applied with one GEMM per group rather than once per sequence
-// (FlexGen's batch amortization). Attention and the KV append stay per
-// sequence; attention reads cache rows in place (KVCache::read_rows).
+// (FlexGen's batch amortization). The KV append and read stay per
+// sequence; attention runs over the whole group, reading f32 cache rows in
+// place and decoding only the head slice of a quantized row it needs.
 //
 // Trace spans (docs/observability.md): a `compute` span covers one row
 // group's LayerNorm + QKV projections, and another its output projection +
-// MLP; between them each sequence gets `store_cache` (append), `load_cache`
-// (verify and decode rows — f32 rows are not copied) and a `compute` span
-// for its attention heads.
+// MLP; between them each sequence gets `store_cache` (append) and
+// `load_cache` (verify rows; nothing is copied or decoded), and the group
+// one `compute` span for its attention.
 //
 // Simplifications vs production checkpoints (documented in DESIGN.md):
 // tied input/output embeddings, no biases, GELU MLP for all presets.
@@ -37,6 +38,11 @@ namespace lmo::runtime {
 
 class Transformer {
  public:
+  /// Fork-join floor of a row group's attention, in Σ t_new·visible·hidden
+  /// over the group's sequences: below it the group's attention runs on
+  /// the calling thread.
+  static constexpr std::int64_t kAttentionSplitWork = std::int64_t{1} << 16;
+
   /// Creates synthetic weights (normal, seeded) and registers them with
   /// `manager`: the first `device_layers` layers live on the device tier,
   /// the last `disk_layers` layers on the disk tier (requires
@@ -57,8 +63,9 @@ class Transformer {
 
   /// Intra-op parallelism: with `pool` set (nullptr = serial), the calling
   /// thread and the pool's workers split GEMM output-column panels,
-  /// activation element ranges and attention (head, query-row) blocks —
-  /// each above a fixed work floor — through ThreadPool::parallel_for.
+  /// activation element ranges and a row group's attention into (sequence,
+  /// head, query-row block) tasks — each above a fixed work floor —
+  /// through ThreadPool::parallel_for.
   /// Every output element is computed by one lane in the serial order, so
   /// results are bit-identical at any lane count. KV reads and appends,
   /// fault draws and trace spans stay on the calling thread.
@@ -99,16 +106,25 @@ class Transformer {
     std::vector<std::int64_t> rows;    ///< T_i of each member sequence
     tensor::Tensor x;                  ///< [Σ T_i, h]
   };
-  /// K and V read views, reused by every attention call of one forward
-  /// pass: f32 rows point into the caches, decoded rows into the scratch.
+  /// One sequence's K and V read views. A forward pass keeps one per row
+  /// group member and reuses them across layers: they hold stored-row
+  /// pointers, never decoded rows.
   struct KVViews {
     KVRowView k, v;
   };
+  /// Query rows [begin, end) of one head of row group member `member`,
+  /// whose rows start at group row `row0`.
+  struct AttentionTask {
+    std::size_t member = 0;
+    std::int64_t row0 = 0, head = 0, begin = 0, end = 0;
+  };
   /// One compute lane's scratch, owned here and sized on the calling
-  /// thread, so no lane allocates: the GEMM's packing buffer and one
-  /// attention query's scores.
+  /// thread, so no lane allocates: the GEMM's packing buffer, one
+  /// attention query's scores, the head slices of the K and V rows a task
+  /// decodes, and the seconds spent decoding per row group member.
   struct LaneScratch {
-    std::vector<float> gemm, scores;
+    std::vector<float> gemm, scores, k, v;
+    std::vector<double> dequantize_s;
   };
 
   LayerWeights fetch_layer(std::int64_t layer);
@@ -121,20 +137,24 @@ class Transformer {
   /// The model's activation in place, split on element ranges above the
   /// work floor.
   void activate(tensor::Tensor& x, int lanes);
-  /// One layer over one row group: attention (per sequence, with cache
-  /// append) + MLP, one GEMM per weight.
+  /// One layer over one row group: cache appends and reads per sequence,
+  /// attention over the whole group, then the MLP, one GEMM per weight.
   void layer_forward(const LayerWeights& w, std::int64_t layer,
                      RowGroup& group, std::vector<SequenceCache*>& caches,
-                     KVViews& views, int lanes);
-  /// Causal attention of one sequence's `t_new` query rows `q` over
-  /// `cache` (already holding them), written to `out` ([t_new, h] rows).
-  void attention(const float* q, std::int64_t t_new, const KVCache& cache,
-                 KVViews& views, float* out, int lanes);
+                     std::vector<KVViews>& views, int lanes);
+  /// Causal attention of every member of `group` — `q` and `out` are the
+  /// group's [rows, h] query and context matrices — over the K and V rows
+  /// in `views` (already holding the new tokens), split into
+  /// AttentionTasks. Leaves each lane's decode seconds per member in its
+  /// LaneScratch::dequantize_s.
+  void attention(const float* q, const RowGroup& group,
+                 const std::vector<KVViews>& views, float* out, int lanes);
 
   model::ModelSpec spec_;
   OffloadManager& manager_;
   parallel::ThreadPool* compute_pool_ = nullptr;
   std::vector<LaneScratch> lanes_;
+  std::vector<AttentionTask> tasks_;  ///< reused by every attention call
   tensor::Tensor embedding_;  ///< [vocab, h], always device-resident
   tensor::Tensor lnf_gamma_, lnf_beta_;
 };

@@ -7,6 +7,10 @@
 
 #include "lmo/util/check.hpp"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace lmo::tensor {
 namespace {
 
@@ -14,6 +18,59 @@ using Clock = std::chrono::steady_clock;
 
 double elapsed(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+// Eq. 11 over the codes [begin, end) of one group, written from out[0]:
+// x = code · scale + min (scale already folds in (max-min)/(2^b-1)). Each
+// product and sum is rounded on its own (this library builds with
+// -ffp-contract=off), so the SSE2 lanes, the scalar edges and any slice
+// of a row write the same floats as the one-element formula. A 4-bit
+// group starts on a byte; a slice may start on its odd (high) nibble.
+template <int Bits>
+void decode_group(const std::uint8_t* codes, std::int64_t begin,
+                  std::int64_t end, float scale, float mn, float* out) {
+  const auto code = [codes](std::int64_t i) -> int {
+    if constexpr (Bits == 4) {
+      return (codes[i / 2] >> (4 * (i % 2))) & 0x0f;
+    } else {
+      return codes[i];
+    }
+  };
+  std::int64_t i = begin;
+  if (Bits == 4 && i % 2 != 0 && i < end) {
+    *out++ = static_cast<float>(code(i++)) * scale + mn;
+  }
+#if defined(__SSE2__)
+  // Sixteen codes per step: unpack the bytes (4-bit: low nibble, then high
+  // nibble, of each byte) to 32-bit lanes and convert — exact for codes.
+  const __m128 s = _mm_set1_ps(scale);
+  const __m128 m = _mm_set1_ps(mn);
+  const __m128i zero = _mm_setzero_si128();
+  const auto store4 = [&](__m128i lanes) {
+    _mm_storeu_ps(out, _mm_add_ps(_mm_mul_ps(_mm_cvtepi32_ps(lanes), s), m));
+    out += 4;
+  };
+  for (; i + 16 <= end; i += 16) {
+    __m128i bytes;
+    if constexpr (Bits == 4) {
+      const __m128i nibble = _mm_set1_epi8(0x0f);
+      const __m128i packed =
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + i / 2));
+      bytes = _mm_unpacklo_epi8(
+          _mm_and_si128(packed, nibble),
+          _mm_and_si128(_mm_srli_epi16(packed, 4), nibble));
+    } else {
+      bytes = _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i));
+    }
+    const __m128i lo = _mm_unpacklo_epi8(bytes, zero);
+    const __m128i hi = _mm_unpackhi_epi8(bytes, zero);
+    store4(_mm_unpacklo_epi16(lo, zero));
+    store4(_mm_unpackhi_epi16(lo, zero));
+    store4(_mm_unpacklo_epi16(hi, zero));
+    store4(_mm_unpackhi_epi16(hi, zero));
+  }
+#endif
+  for (; i < end; ++i) *out++ = static_cast<float>(code(i)) * scale + mn;
 }
 
 }  // namespace
@@ -205,27 +262,33 @@ void quantize_into(std::span<const float> input, const QuantConfig& config,
 void dequantize_into(std::span<const std::uint8_t> codes,
                      std::span<const float> group_min,
                      std::span<const float> group_scale, int bits,
-                     std::int64_t group_size, std::span<float> out) {
-  const auto numel = static_cast<std::int64_t>(out.size());
-  const bool packed4 = bits == 4;
-  LMO_CHECK_GE(static_cast<std::int64_t>(codes.size()) * (packed4 ? 2 : 1),
-               numel);
+                     std::int64_t group_size, std::int64_t begin,
+                     std::span<float> out) {
+  const std::int64_t end = begin + static_cast<std::int64_t>(out.size());
+  LMO_CHECK(bits == 4 || bits == 8);
+  LMO_CHECK_GE(begin, 0);
+  LMO_CHECK_GE(static_cast<std::int64_t>(codes.size()) * (bits == 4 ? 2 : 1),
+               end);
   LMO_CHECK_GE(static_cast<std::int64_t>(group_min.size()) * group_size,
-               numel);
+               end);
   LMO_CHECK_EQ(group_min.size(), group_scale.size());
-  const std::uint8_t* payload = codes.data();
+  float* dst = out.data();
+  for (std::int64_t g = begin / group_size; g * group_size < end; ++g) {
+    const std::int64_t lo = std::max(begin, g * group_size);
+    const std::int64_t hi = std::min(end, (g + 1) * group_size);
+    dequantize_group(codes.data(), bits, lo, hi,
+                     group_scale[static_cast<std::size_t>(g)],
+                     group_min[static_cast<std::size_t>(g)], dst);
+    dst += hi - lo;
+  }
+}
 
-  // Eq. 11: x = q * scale + min (scale already folds in (max-min)/(2^b-1)).
-  // Padding past numel is never written.
-  for (std::int64_t g = 0; g * group_size < numel; ++g) {
-    const float mn = group_min[static_cast<std::size_t>(g)];
-    const float scale = group_scale[static_cast<std::size_t>(g)];
-    const std::int64_t end = std::min(numel, (g + 1) * group_size);
-    for (std::int64_t i = g * group_size; i < end; ++i) {
-      const int code =
-          packed4 ? (payload[i / 2] >> (4 * (i % 2))) & 0x0f : payload[i];
-      out[static_cast<std::size_t>(i)] = static_cast<float>(code) * scale + mn;
-    }
+void dequantize_group(const std::uint8_t* codes, int bits, std::int64_t begin,
+                      std::int64_t end, float scale, float min, float* out) {
+  if (bits == 4) {
+    decode_group<4>(codes, begin, end, scale, min, out);
+  } else {
+    decode_group<8>(codes, begin, end, scale, min, out);
   }
 }
 
@@ -233,7 +296,7 @@ void dequantize_into(const QuantizedTensor& quantized, float* out) {
   LMO_CHECK(quantized.defined());
   dequantize_into(quantized.payload(), quantized.group_min(),
                   quantized.group_scale(), quantized.bits(),
-                  quantized.group_size(),
+                  quantized.group_size(), 0,
                   std::span<float>(out, static_cast<std::size_t>(
                                             quantized.original_shape().numel())));
 }

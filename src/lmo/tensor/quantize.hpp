@@ -119,14 +119,27 @@ Tensor dequantize(const QuantizedTensor& quantized);
 /// allocating.
 void dequantize_into(const QuantizedTensor& quantized, float* out);
 
-/// Eq. 11 over a quantized tensor's parts wherever they are stored (the KV
-/// read path decodes rows straight from their blocks into scratch):
-/// `codes` packed as quantize() packs them, one min and one scale per
-/// `group_size` elements. Writes out.size() values.
+/// Eq. 11 over the elements [begin, begin + out.size()) of a quantized
+/// tensor's parts wherever they are stored (attention decodes one head's
+/// slice of each KV row straight from its block): `codes` packed as
+/// quantize() packs them, one min and one scale per `group_size` elements.
+/// Each element is code · scale + min, the product and the sum rounded
+/// separately, so any range decodes to the bytes a whole-tensor decode
+/// writes there. Allocates nothing.
 void dequantize_into(std::span<const std::uint8_t> codes,
                      std::span<const float> group_min,
                      std::span<const float> group_scale, int bits,
-                     std::int64_t group_size, std::span<float> out);
+                     std::int64_t group_size, std::int64_t begin,
+                     std::span<float> out);
+
+/// The loop dequantize_into runs per group, without its checks: Eq. 11
+/// over the codes [begin, end) of one group whose scale and min are given,
+/// written from out[0]. Requires bits 4 or 8 and [begin, end) inside one
+/// group of `codes`. For a caller that decodes many short ranges of a
+/// layout it validated once (attention decodes one head's slice of every
+/// KV row it sees).
+void dequantize_group(const std::uint8_t* codes, int bits, std::int64_t begin,
+                      std::int64_t end, float scale, float min, float* out);
 
 /// Worst-case absolute reconstruction error for a group spanning
 /// [min, max]: half a quantization step.

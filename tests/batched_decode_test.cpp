@@ -33,13 +33,20 @@ const std::thread::id g_main_thread = std::this_thread::get_id();
 std::atomic<std::size_t> g_off_main_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t bytes) {
+// Out of line: GCC 12 inlines these into their callers and then warns
+// (-Wmismatched-new-delete) that free() receives a pointer from operator
+// new.
+__attribute__((noinline)) void* operator new(std::size_t bytes) {
   if (std::this_thread::get_id() != g_main_thread) ++g_off_main_allocations;
   if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace lmo::runtime {
 namespace {
@@ -193,8 +200,10 @@ TEST(ForwardDigest, EveryLaneCountMatchesTheSerialRun) {
 
 TEST(ForwardDigest, ComputeLanesAllocateNothing) {
   // A ragged prefill that splits GEMM panels, attention heads and the
-  // activation, then decode steps, at 4 lanes, over f32 and kv4 caches:
-  // every scratch buffer a lane touches is sized on the calling thread.
+  // activation, then decode steps whose one row group is long enough to
+  // fan attention out over (sequence, head), at 4 lanes, over f32 and kv4
+  // caches: every scratch buffer a lane touches is sized on the calling
+  // thread.
   const model::ModelSpec spec = model::ModelSpec::tiny(2, 128, 4, 256);
   MemoryPool device("device", 256u << 20);
   MemoryPool host("host", 256u << 20);
@@ -212,10 +221,13 @@ TEST(ForwardDigest, ComputeLanesAllocateNothing) {
     std::vector<SequenceCache> caches;
     std::vector<SequenceCache*> cache_ptrs;
     std::vector<Tensor> states;
-    for (std::int64_t len : {70, 12, 40}) {
+    std::int64_t decode_work = 0;  // of the first decode step's group
+    for (std::int64_t len : {70, 12, 40, 200, 200}) {
       states.push_back(model.embed(random_prompt(rng, len)));
       caches.push_back(make_caches(blocks, spec.num_layers));
+      decode_work += (len + 1) * spec.hidden;
     }
+    ASSERT_GE(decode_work, Transformer::kAttentionSplitWork);
     for (auto& cache : caches) cache_ptrs.push_back(&cache);
     g_off_main_allocations = 0;
     for (int step = 0; step < 3; ++step) {
@@ -360,7 +372,16 @@ Tensor ramp_row(std::int64_t hidden, float base) {
   return row;
 }
 
-TEST(KVRowView, F32RowsAreReadInPlace) {
+/// Elements [begin, begin + count) of row `i` of a view, decoded.
+std::vector<float> decoded(const KVRowView& view, std::size_t i,
+                           std::int64_t begin, std::size_t count) {
+  std::vector<float> out(count);
+  view.format.decode(std::span(view.rows).subspan(i, 1), begin,
+                     static_cast<std::int64_t>(count), out.data());
+  return out;
+}
+
+TEST(KVRowView, RowsAreReadInPlace) {
   MemoryPool pool("host", 1 << 20);
   KVBlockPool f32_blocks({.block_tokens = 4, .hidden = 8}, &pool);
   KVCache cache(f32_blocks);
@@ -376,21 +397,30 @@ TEST(KVRowView, F32RowsAreReadInPlace) {
               cache.stored_row(KVPlane::kKeys,
                                static_cast<std::int64_t>(i)).data());
   }
-  EXPECT_TRUE(view.scratch.empty());  // nothing decoded, nothing copied
+  EXPECT_TRUE(view.wire.empty());  // nothing copied
 
-  // Quantized rows decode into the view's scratch, equal to keys().
+  // Quantized rows are read in place too, and decode (whole, or a slice
+  // from an odd nibble across a group boundary) to the bytes values()
+  // holds.
   KVBlockPool kv4_blocks(
-      {.block_tokens = 4, .hidden = 8, .bits = 4, .group_size = 8}, &pool);
+      {.block_tokens = 4, .hidden = 8, .bits = 4, .group_size = 4}, &pool);
   KVCache quant(kv4_blocks);
   for (int i = 0; i < 5; ++i) {
     quant.append(ramp_row(8, static_cast<float>(i)),
                  ramp_row(8, -static_cast<float>(i)));
   }
   quant.read_rows(KVPlane::kValues, view);
+  EXPECT_TRUE(view.format.quantized());
   const Tensor values = quant.values();
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(std::memcmp(view.rows[i], values.f32().data() + i * 8,
-                          8 * sizeof(float)),
+    EXPECT_EQ(static_cast<const void*>(view.rows[i]),
+              quant.stored_row(KVPlane::kValues,
+                               static_cast<std::int64_t>(i)).data());
+    EXPECT_EQ(std::memcmp(decoded(view, i, 0, 8).data(),
+                          values.f32().data() + i * 8, 8 * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(decoded(view, i, 3, 4).data(),
+                          values.f32().data() + i * 8 + 3, 4 * sizeof(float)),
               0);
   }
 }
@@ -433,19 +463,19 @@ TEST(KVRowView, IntegrityMatchesTheCopyingRead) {
     }
     const Tensor clean = plain.keys();
 
-    // With no injector armed every row verifies; f32 rows are read in
-    // place, so the scratch is never touched.
+    // With no injector armed every row verifies and is read in place, so
+    // nothing is copied.
     {
       KVRowView view;
       verified.read_rows(KVPlane::kKeys, view);
       ASSERT_EQ(view.rows.size(), static_cast<std::size_t>(kRows));
       for (std::int64_t i = 0; i < kRows; ++i) {
-        EXPECT_EQ(std::memcmp(view.rows[static_cast<std::size_t>(i)],
-                              clean.f32().data() + i * 16,
-                              16 * sizeof(float)),
+        EXPECT_EQ(std::memcmp(
+                      decoded(view, static_cast<std::size_t>(i), 0, 16).data(),
+                      clean.f32().data() + i * 16, 16 * sizeof(float)),
                   0);
       }
-      EXPECT_EQ(view.scratch.empty(), bits == 16);
+      EXPECT_TRUE(view.wire.empty());
     }
 
     // Unverified twin: every row is read (one flip-site op each), and the
@@ -458,11 +488,13 @@ TEST(KVRowView, IntegrityMatchesTheCopyingRead) {
       plain.read_rows(KVPlane::kKeys, view);
       EXPECT_EQ(flip_site_position().first, kRows);
       for (std::int64_t i = 0; i < kRows && first_flip < 0; ++i) {
-        if (std::memcmp(view.rows[static_cast<std::size_t>(i)],
-                        clean.f32().data() + i * 16, 16 * sizeof(float))) {
+        if (std::memcmp(
+                decoded(view, static_cast<std::size_t>(i), 0, 16).data(),
+                clean.f32().data() + i * 16, 16 * sizeof(float))) {
           first_flip = i;
         }
       }
+      EXPECT_FALSE(view.wire.empty());
       plain.read_rows(KVPlane::kValues, view);
       EXPECT_EQ(flip_site_position().first, 2 * kRows);
     }

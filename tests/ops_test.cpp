@@ -156,7 +156,9 @@ TEST(Ops, MatmulNtColsAssemblesTheBlockedProduct) {
         matmul_nt_cols(a, b, part, 8, std::min<std::int64_t>(n, 16), scratch);
         for (std::int64_t i = 0; i < m; ++i) {
           for (std::int64_t j = 0; j < n; ++j) {
-            if (j < 8 || j >= 16) EXPECT_EQ(part.at({i, j}), 0.0f);
+            if (j < 8 || j >= 16) {
+              EXPECT_EQ(part.at({i, j}), 0.0f);
+            }
           }
         }
       }

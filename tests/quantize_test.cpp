@@ -5,7 +5,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "lmo/tensor/quantize.hpp"
@@ -117,6 +119,70 @@ TEST(Quantize, IntoSpansMatchesQuantizeBytewise) {
       }
     }
   }
+}
+
+TEST(Quantize, DequantizeIntoMatchesEq11Bytewise) {
+  // Every byte value as codes (both nibble orders at 4 bits), ragged last
+  // groups, and ranges that start on an odd nibble or cross group
+  // boundaries: each element must be exactly code · scale + min, with the
+  // product and the sum rounded separately, and nothing past the range
+  // may be written.
+  util::Xoshiro256 rng(23);
+  std::vector<std::uint8_t> codes(256);
+  for (int b = 0; b < 256; ++b) codes[static_cast<std::size_t>(b)] =
+      static_cast<std::uint8_t>(b * 7 % 256);  // every value, shuffled
+  for (const int bits : {4, 8}) {
+    const std::int64_t capacity = bits == 4 ? 512 : 256;
+    for (const std::int64_t gs : {8, 34, 64}) {
+      const std::int64_t groups = (capacity + gs - 1) / gs;
+      std::vector<float> mins, scales;
+      for (std::int64_t g = 0; g < groups; ++g) {
+        mins.push_back(static_cast<float>(rng.uniform(-3.0, 1.0)));
+        scales.push_back(static_cast<float>(rng.uniform(0.0, 0.4)) /
+                         static_cast<float>((1 << bits) - 1));
+      }
+      const auto eq11 = [&](std::int64_t i) {
+        const int code =
+            bits == 4 ? (codes[static_cast<std::size_t>(i / 2)] >>
+                         (4 * (i % 2))) & 0x0f
+                      : codes[static_cast<std::size_t>(i)];
+        const auto g = static_cast<std::size_t>(i / gs);
+        const float product = static_cast<float>(code) * scales[g];
+        return product + mins[g];
+      };
+      // A ragged tail (capacity - 5 is no multiple of any group size) and
+      // every range of up to 80 elements starting in the first 100.
+      std::vector<std::pair<std::int64_t, std::int64_t>> ranges = {
+          {0, capacity}, {0, capacity - 5}, {3, capacity - 5}};
+      for (std::int64_t begin = 0; begin < 100; ++begin) {
+        for (std::int64_t len = 0; len <= 80; len += begin % 2 ? 3 : 1) {
+          ranges.emplace_back(begin, len);
+        }
+      }
+      for (const auto& [begin, len] : ranges) {
+        std::vector<float> out(static_cast<std::size_t>(len) + 4, -7.0f);
+        dequantize_into(codes, mins, scales, bits, gs, begin,
+                        std::span(out).first(static_cast<std::size_t>(len)));
+        for (std::int64_t i = 0; i < len; ++i) {
+          const float want = eq11(begin + i);
+          ASSERT_EQ(std::memcmp(&out[static_cast<std::size_t>(i)], &want,
+                                sizeof(float)),
+                    0)
+              << bits << " bits, group " << gs << ", range [" << begin
+              << ", " << begin + len << "), element " << begin + i;
+        }
+        for (std::size_t i = static_cast<std::size_t>(len); i < out.size();
+             ++i) {
+          ASSERT_EQ(out[i], -7.0f) << "wrote past the range";
+        }
+      }
+    }
+  }
+  // A range past the codes is rejected.
+  std::vector<float> out(4);
+  EXPECT_THROW(dequantize_into(std::span(codes).first(2), std::vector<float>{0},
+                               std::vector<float>{1}, 4, 8, 2, out),
+               CheckError);
 }
 
 TEST(Quantize, MaxQuantErrorHelper) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 
 #include "lmo/runtime/evaluate.hpp"
 #include "lmo/runtime/generator.hpp"
@@ -14,6 +15,7 @@
 #include "lmo/runtime/profiler.hpp"
 #include "lmo/runtime/transformer.hpp"
 #include "lmo/util/check.hpp"
+#include "lmo/util/fault.hpp"
 
 namespace lmo::runtime {
 namespace {
@@ -328,21 +330,70 @@ TEST(Generator, RingPrefetchServesEveryLaterFetchFromStaging) {
   mid.step();
 }
 
+/// FNV-1a over the logits bytes of `steps` teacher-forced decode steps of
+/// `prompts` as one batch, through `gen`'s transformer and KV pool, over
+/// caches that see every row (`window` 0) or the last `window` rows.
+/// Sampled tokens can stay the same when a logit drifts; this cannot.
+std::uint64_t decode_logits_digest(
+    Generator& gen, const std::vector<std::vector<std::int64_t>>& prompts,
+    std::int64_t window, int steps) {
+  Transformer& model = gen.transformer();
+  std::vector<SequenceCache> caches(prompts.size());
+  std::vector<SequenceCache*> cache_ptrs;
+  std::vector<Tensor> states;
+  for (std::size_t b = 0; b < prompts.size(); ++b) {
+    for (std::int64_t layer = 0; layer < model.spec().num_layers; ++layer) {
+      caches[b].emplace_back(gen.kv_blocks(), window);
+    }
+    cache_ptrs.push_back(&caches[b]);
+    states.push_back(model.embed(prompts[b]));
+  }
+  std::uint64_t hash = 1469598103934665603ull;
+  for (int step = 0; step < steps; ++step) {
+    model.forward(states, cache_ptrs);
+    const Tensor logits = model.logits(states);
+    for (std::byte byte : logits.raw()) {
+      hash = (hash ^ static_cast<std::uint64_t>(byte)) * 1099511628211ull;
+    }
+    for (std::size_t b = 0; b < states.size(); ++b) {
+      const std::int64_t token[] = {static_cast<std::int64_t>(b * 7 + step)};
+      states[b] = model.embed(token);
+    }
+  }
+  return hash;
+}
+
 TEST(Generator, TokensAreBitIdenticalAtAnyLaneCount) {
   // Prompts long enough that prefill crosses every fork-join floor (GEMM
-  // column panels, activation ranges, attention heads); a batch of three
-  // ragged sequences, sampled hot. Tokens alone can miss a drifted logit,
-  // so a teacher-forced NLL over a 70-token sequence (a sum of every
-  // row's log-softmax) must match exactly too. Any difference between
-  // lane counts means a race or a split that changed an element's
-  // summation order.
+  // column panels, activation ranges, attention heads) and that every
+  // decode step's attention fans out over (sequence, head), window caches
+  // included; a batch of eight ragged sequences, sampled hot. Tokens
+  // alone can miss a drifted logit, so a teacher-forced NLL over a
+  // 70-token sequence (a sum of every row's log-softmax) and the logits
+  // bytes of teacher-forced decode steps of the batch must match exactly
+  // too. Any difference between lane counts means a race or a split that
+  // changed an element's summation order.
   RuntimeConfig base = tiny_config();
   base.spec = model::ModelSpec::tiny(2, 128, 4, 256);
   base.sampling.temperature = 8.0;
+  base.window_tokens = 80;
   std::vector<std::vector<std::int64_t>> prompts = {
       {}, {5, 9, 2, 7, 1, 33, 21, 60}, {}};
   for (std::int64_t i = 0; i < 70; ++i) prompts[0].push_back(i * 37 % 256);
   for (std::int64_t i = 0; i < 40; ++i) prompts[2].push_back(i * 11 % 97);
+  for (std::int64_t s = 0; s < 5; ++s) {
+    prompts.emplace_back();
+    for (std::int64_t i = 0; i < 90; ++i) {
+      prompts.back().push_back((i * 13 + s * 29) % 256);
+    }
+  }
+  std::int64_t window_decode = 0;  // the smallest decode group's work
+  for (const auto& prompt : prompts) {
+    window_decode += std::min<std::int64_t>(
+        static_cast<std::int64_t>(prompt.size()), base.window_tokens);
+  }
+  ASSERT_GE(window_decode * base.spec.hidden,
+            Transformer::kAttentionSplitWork);
   struct Case {
     const char* name;
     int kv_bits;
@@ -350,21 +401,66 @@ TEST(Generator, TokensAreBitIdenticalAtAnyLaneCount) {
   };
   for (const Case& c : {Case{"kv16", 16, KVFlavor::kDense},
                         Case{"kv4", 4, KVFlavor::kDense},
-                        Case{"window", 16, KVFlavor::kWindow}}) {
+                        Case{"kv8", 8, KVFlavor::kDense},
+                        Case{"window", 16, KVFlavor::kWindow},
+                        Case{"window-kv4", 4, KVFlavor::kWindow}}) {
     RuntimeConfig config = base;
     config.kv_bits = c.kv_bits;
     config.kv_flavor = c.kv;
     const auto run = [&](int lanes) {
       config.compute_threads = lanes;
       Generator gen(config);
-      return std::pair(gen.generate(prompts, 10).tokens,
-                       evaluate_sequence(gen, prompts[0]).nll);
+      const std::int64_t window =
+          c.kv == KVFlavor::kWindow ? config.window_tokens : 0;
+      return std::tuple(gen.generate(prompts, 10).tokens,
+                        evaluate_sequence(gen, prompts[0]).nll,
+                        decode_logits_digest(gen, prompts, window, 4));
     };
     const auto serial = run(1);
     for (int lanes : {2, 3, 4}) {
       EXPECT_EQ(run(lanes), serial) << c.name << " at " << lanes << " lanes";
     }
   }
+
+  // kv4 rows verified on every read while integrity.kv.flip corrupts
+  // some in flight: the flip draws and verification run on the calling
+  // thread in row order and a detected row is recomputed, so the tokens,
+  // the repair counts and every site's draw count match at any lane
+  // count.
+  RuntimeConfig config = base;
+  config.kv_bits = 4;
+  config.integrity.policy = integrity::VerifyPolicy::kAlways;
+  config.integrity.max_repair_attempts = 8;
+  struct Drill {
+    std::vector<std::vector<std::int64_t>> tokens;
+    std::uint64_t failures = 0, recomputes = 0;
+    std::vector<std::pair<std::int64_t, std::uint64_t>> sites;  // ops, draws
+  };
+  const auto drill = [&](int lanes) {
+    config.compute_threads = lanes;
+    util::ScopedFaultInjection chaos(31);
+    util::FaultSpec flips;
+    flips.flip_probability = 2e-4;
+    chaos.arm("integrity.kv.flip", flips);
+    Generator gen(config);
+    Drill out;
+    out.tokens = gen.generate(prompts, 10).tokens;
+    auto& metrics = gen.manager().metrics();
+    out.failures = metrics.counter("integrity.verify.failures").value();
+    out.recomputes = metrics.counter("integrity.repair.recompute").value();
+    for (const util::FaultSiteState& site : chaos.site_states()) {
+      out.sites.emplace_back(site.ops, site.draws);
+    }
+    return out;
+  };
+  const Drill serial = drill(1);
+  const Drill three = drill(3);
+  EXPECT_GT(serial.recomputes, 0u) << "no flip was detected and repaired";
+  EXPECT_EQ(serial.recomputes, serial.failures);
+  EXPECT_EQ(three.tokens, serial.tokens);
+  EXPECT_EQ(three.failures, serial.failures);
+  EXPECT_EQ(three.recomputes, serial.recomputes);
+  EXPECT_EQ(three.sites, serial.sites);
 }
 
 TEST(Profiler, MeasuresRealKernelAndFeedsAlgorithm3) {
